@@ -29,6 +29,11 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 
+BUDGET_HELP = (
+    "skip the oracle when the group has more positions (non-generating "
+    "subsets) than this; decided before searching (default %(default)s)"
+)
+
 
 @dataclass
 class AnalysisReport:
@@ -243,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
                             "inside the Frattini subgroup")
         if with_oracle:
             p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                           help="oracle position budget (default %(default)s)")
+                           help=BUDGET_HELP)
             p.add_argument("--no-oracle", action="store_true",
                            help="skip the brute-force oracle")
 
@@ -268,7 +273,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="largest catalog group order (default %(default)s)")
     v.add_argument("--catalog", help="file with one group spec per line")
     v.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="oracle position budget (default %(default)s)")
+                   help=BUDGET_HELP)
     v.add_argument("--no-oracle", action="store_true", help="skip the oracle column")
     v.set_defaults(func=_cmd_verify)
     return ap

@@ -50,8 +50,16 @@ class SpecSyntaxError(DngError):
 
 
 class OracleBudgetError(DngError):
-    """Brute-force search would exceed the position-count budget."""
+    """The game has more positions (non-generating subsets) than the budget.
+
+    Raised before any search starts, with the predicted count in the message.
+    """
 
 
 class SolverConsistencyError(DngError):
-    """The mex calculus produced an inconsistent type triple (implementation bug)."""
+    """Theory and computation disagree (implementation bug).
+
+    Raised when the mex calculus produces an inconsistent type triple, or when
+    the oracle visits a different number of positions than the class sizes of
+    the intersection poset predict.
+    """

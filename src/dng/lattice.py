@@ -145,6 +145,31 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
     return poset
 
 
+def class_sizes(g: Group) -> tuple[int, ...]:
+    """Number of subsets whose smallest containing intersection is each member.
+
+    Entry i belongs to ``intersection_subgroups(g).members[i]``.  Every
+    non-generating subset has exactly one smallest intersection subgroup
+    containing it, so g(I) = 2^|I| - sum of g(J) over members J strictly
+    inside I, and the sizes sum to the number of game positions.
+    """
+    cached = g._cache.get("class_sizes")
+    if cached is not None:
+        return cached
+    masks = [s.mask for s in intersection_subgroups(g).members]
+    sizes: list[int] = []
+    # members are sorted by order, so every proper subgroup J of I comes first
+    for i, a in enumerate(masks):
+        n = 1 << a.bit_count()
+        for b, size in zip(masks[:i], sizes):
+            if b & ~a == 0:
+                n -= size
+        sizes.append(n)
+    result = tuple(sizes)
+    g._cache["class_sizes"] = result
+    return result
+
+
 def smallest_intersection_containing(g: Group, s) -> Subgroup:
     """Intersection of all maximal subgroups containing the set ``s``.
 

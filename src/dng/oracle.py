@@ -4,17 +4,30 @@ The memo is keyed on the literal selected-set bitmask, never on structure
 classes, so the oracle stays independent of the theory it cross-checks.  A
 move is legal when the enlarged set still lies inside some maximal subgroup,
 which is exactly the non-generating condition for a finite group.
+
+Before a full search the oracle counts the positions it would visit, the
+non-generating subsets, from the intersection poset (``class_sizes``) and
+skips the search when the count exceeds the budget.  The poset decides only
+whether the search runs; the value never depends on it, and a finished
+search must have visited exactly the predicted number of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GeneratingSetError, OracleBudgetError, TrivialGroupError
+from .errors import (
+    GeneratingSetError,
+    OracleBudgetError,
+    SolverConsistencyError,
+    TrivialGroupError,
+)
 from .groups import Group, bits
-from .lattice import maximal_subgroups
+from .lattice import class_sizes, maximal_subgroups
 
-#: Default memo-size cap; larger games fall back to solver-only verification.
+#: Default cap on the number of positions (non-generating subsets) a full
+#: search may visit, decided before searching; larger games fall back to
+#: solver-only verification.
 DEFAULT_BUDGET = 2_000_000
 
 
@@ -78,11 +91,47 @@ class _Search:
         return result
 
 
+def _preflight(g: Group, budget: int) -> int:
+    """Exact number of positions of g; OracleBudgetError if above ``budget``.
+
+    The lower bound 2^max|M| needs only the maximal subgroups, so a game that
+    is plainly too big is skipped without building the intersection poset.
+    Passing the preflight also bounds the recursion depth by log2(budget) + 1.
+    """
+    top = max(m.order for m in maximal_subgroups(g))
+    if 1 << top > budget:
+        raise OracleBudgetError(
+            f"at least 2^{top} positions, over the budget of {budget}"
+        )
+    predicted = sum(class_sizes(g))
+    if predicted > budget:
+        raise OracleBudgetError(
+            f"{predicted} positions, over the budget of {budget}"
+        )
+    return predicted
+
+
+def _check_count(visited: int, predicted: int) -> None:
+    if visited != predicted:
+        raise SolverConsistencyError(
+            f"search visited {visited} positions, class sizes predict {predicted}"
+        )
+
+
+def _full_search(g: Group, budget: int) -> _Search:
+    predicted = _preflight(g, budget)
+    search = _Search(g, budget)
+    search.nim(0)
+    _check_count(len(search.memo), predicted)
+    return search
+
+
 def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Nim-number of the starting position by depth-first mex recursion."""
-    search = _Search(g, budget)
-    nim = search.nim(0)
-    return OracleResult(nim=nim, memo_size=len(search.memo), effort=search.effort)
+    search = _full_search(g, budget)
+    return OracleResult(
+        nim=search.memo[0], memo_size=len(search.memo), effort=search.effort
+    )
 
 
 def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
@@ -91,9 +140,7 @@ def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     All non-generating subsets are reachable from the empty set by adding
     elements one at a time, so the memo after solving the start is complete.
     """
-    search = _Search(g, budget)
-    search.nim(0)
-    return search.memo
+    return _full_search(g, budget).memo
 
 
 def brute_nim_position(g: Group, p, budget: int = DEFAULT_BUDGET) -> int:
@@ -116,6 +163,7 @@ def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
     parities = {m.bit_count() % 2 for m in maximals}
     if len(parities) != 1:
         raise ValueError("maximal subgroups have mixed parities")
+    predicted = _preflight(g, budget)
     memo: dict[int, frozenset[int]] = {}
 
     def winners(p: int) -> frozenset[int]:
@@ -139,4 +187,6 @@ def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
         memo[p] = result
         return result
 
-    return len(winners(0)) == 1
+    outcome = len(winners(0)) == 1
+    _check_count(len(memo), predicted)
+    return outcome

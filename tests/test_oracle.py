@@ -1,9 +1,19 @@
 import pytest
 
-from dng.errors import GeneratingSetError, OracleBudgetError, TrivialGroupError
+from dng import oracle
+from dng.errors import (
+    GeneratingSetError,
+    OracleBudgetError,
+    SolverConsistencyError,
+    TrivialGroupError,
+)
 from dng.groups import make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
-from dng.lattice import maximal_subgroups, smallest_intersection_containing
+from dng.lattice import (
+    class_sizes,
+    maximal_subgroups,
+    smallest_intersection_containing,
+)
 from dng.oracle import (
     Position,
     brute_nim,
@@ -44,6 +54,61 @@ def test_brute_rejects_trivial():
 def test_budget_exceeded():
     with pytest.raises(OracleBudgetError):
         brute_nim(make_symmetric(4), budget=100)
+
+
+@pytest.mark.parametrize(
+    "spec", ["S3", "Z6", "A4", "S4", "Dic6", "Z2 x Z2 x Z2 x Z2", "A5"]
+)
+def test_class_sizes_count_positions(spec):
+    g = build(parse_spec(spec))
+    assert sum(class_sizes(g)) == brute_nim(g).memo_size
+
+
+def test_class_sizes_s5_golden():
+    assert sum(class_sizes(make_symmetric(5))) == 1152921504697036488
+
+
+def test_budget_is_exact_cap():
+    s4 = make_symmetric(4)
+    assert brute_nim(s4, budget=5016).memo_size == 5016
+    with pytest.raises(OracleBudgetError, match="5016 positions"):
+        brute_nim(s4, budget=5015)
+    assert len(brute_nim_table(s4, budget=5016)) == 5016
+    with pytest.raises(OracleBudgetError):
+        brute_nim_table(s4, budget=5015)
+    z4 = make_cyclic(4)  # the subsets of its one maximal subgroup of order 2
+    assert strategy_free_outcome_check(z4, budget=4)
+    with pytest.raises(OracleBudgetError):
+        strategy_free_outcome_check(z4, budget=3)
+
+
+def _refuse(*args):
+    raise AssertionError("called although the preflight should have skipped")
+
+
+@pytest.mark.parametrize(
+    "spec,budget",
+    [("S5", oracle.DEFAULT_BUDGET), ("Z202", 5000), ("S4", 5015)],
+)
+def test_skip_happens_before_search(monkeypatch, spec, budget):
+    g = build(parse_spec(spec))
+    monkeypatch.setattr(oracle, "_Search", _refuse)
+    with pytest.raises(OracleBudgetError):
+        brute_nim(g, budget)
+
+
+@pytest.mark.parametrize("spec,budget", [("S5", oracle.DEFAULT_BUDGET), ("Z202", 5000)])
+def test_lower_bound_skip_needs_no_poset(monkeypatch, spec, budget):
+    g = build(parse_spec(spec))
+    monkeypatch.setattr(oracle, "class_sizes", _refuse)
+    with pytest.raises(OracleBudgetError, match=r"at least 2\^"):
+        brute_nim(g, budget)
+
+
+def test_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "class_sizes", lambda g: (13,))
+    with pytest.raises(SolverConsistencyError, match="14.*13"):
+        brute_nim(make_symmetric(3))
 
 
 def test_position_empty_equals_game():
