@@ -11,23 +11,29 @@ from dataclasses import dataclass
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
-from .catalog import builtin_catalog
+from .catalog import catalog_specs
 from .classify import Classification, barnes_first_player_wins, classify
 from .errors import (
     BudgetError,
     GeneratorCapError,
     LatticeGuardError,
+    NonAbelianError,
     OracleBudgetError,
     SpecSyntaxError,
+    SpecValueError,
 )
 from .groups import ORDER_BUDGET, Group, min_generators, quotient
-from .groupspec import build, parse_spec
+from .groupspec import GroupSpec, build, check_order, parse_spec, print_spec
 from .lattice import largest_odd_normal_in_frattini, lattice_dot
 
 EXIT_OK = 0
-EXIT_PARSE = 2
+EXIT_SPEC = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
+
+#: Errors in a group spec (exit 2) and over a size budget (exit 3).
+SPEC_ERRORS = (SpecSyntaxError, SpecValueError, NonAbelianError)
+BUDGET_ERRORS = (BudgetError, LatticeGuardError)
 
 BUDGET_HELP = (
     "skip the oracle when the group has more positions (non-generating "
@@ -143,8 +149,18 @@ def analyze_group(
     )
 
 
+def _checked_spec(spec_text: str, budget: int) -> GroupSpec:
+    """Parse a spec and check its order, before any group is built."""
+    spec = parse_spec(spec_text)
+    if check_order(spec, budget) == 1:
+        raise SpecValueError(
+            f"{print_spec(spec)} is the trivial group, which has no avoidance game"
+        )
+    return spec
+
+
 def _build_group(spec_text: str, max_order: int, mod_frattini: bool) -> Group:
-    g = build(parse_spec(spec_text), budget=max_order)
+    g = build(_checked_spec(spec_text, max_order), budget=max_order)
     if mod_frattini:
         n = largest_odd_normal_in_frattini(g)
         if n.order > 1:
@@ -192,18 +208,40 @@ CSV_COLUMNS = (
 )
 
 
+def _read_catalog(path: str) -> list[tuple[str, str]]:
+    """(``path:line``, spec) for each line that is neither blank nor a '#' comment."""
+    with open(path, encoding="utf-8") as fh:
+        return [
+            (f"{path}:{lineno}", ln.strip())
+            for lineno, ln in enumerate(fh, 1)
+            if ln.strip() and not ln.startswith("#")
+        ]
+
+
 def _cmd_verify(args) -> int:
     if args.catalog:
-        with open(args.catalog, encoding="utf-8") as fh:
-            specs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        groups = [(s, build(parse_spec(s), budget=args.max_order)) for s in specs]
+        entries = _read_catalog(args.catalog)
+        budget = args.max_order
     else:
-        groups = builtin_catalog(args.max_order)
+        entries = [(None, s) for s in catalog_specs(args.max_order)]
+        budget = ORDER_BUDGET
+    # every spec is checked before the first group is built
+    specs = []
+    for where, name in entries:
+        try:
+            specs.append((where, name, _checked_spec(name, budget)))
+        except SPEC_ERRORS + BUDGET_ERRORS as exc:
+            return _fail(exc, where)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     disagreements = 0
-    for name, g in groups:
+    for where, name, spec in specs:
+        # one group at a time: its caches are dropped with it
+        try:
+            g = build(spec, budget)
+        except SPEC_ERRORS as exc:
+            return _fail(exc, where)
         report = analyze_group(g, no_oracle=args.no_oracle, oracle_budget=args.budget)
         if not report.agreement:
             disagreements += 1
@@ -225,7 +263,7 @@ def _cmd_verify(args) -> int:
             ]
         )
     sys.stdout.write(out.getvalue())
-    print(f"{len(groups)} groups, {disagreements} disagreements", file=sys.stderr)
+    print(f"{len(specs)} groups, {disagreements} disagreements", file=sys.stderr)
     return EXIT_DISAGREE if disagreements else EXIT_OK
 
 
@@ -279,17 +317,24 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(exc: Exception, where: str | None = None) -> int:
+    """Print ``error: [where: ]message`` and return the error's exit code."""
+    prefix = f"{where}: " if where else ""
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return EXIT_SPEC if isinstance(exc, SPEC_ERRORS) else EXIT_BUDGET
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (BudgetError, LatticeGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except SPEC_ERRORS + BUDGET_ERRORS as exc:
+        return _fail(exc)
 
 
 def run() -> None:  # console-script entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -49,6 +49,11 @@ class SpecSyntaxError(DngError):
         super().__init__(f"syntax error at offset {offset}: expected {shown}")
 
 
+class SpecValueError(DngError):
+    """A well-formed group spec names no group (``Z0``, ``Dic1``), or only the
+    trivial group, on which the avoidance game is undefined."""
+
+
 class OracleBudgetError(DngError):
     """The game has more positions (non-generating subsets) than the budget.
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import groups
-from .errors import BudgetError, SpecSyntaxError
+from .errors import BudgetError, SpecSyntaxError, SpecValueError
 from .groups import Group, ORDER_BUDGET
 
 
@@ -158,8 +158,18 @@ def print_spec(spec: GroupSpec) -> str:
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
+#: Least parameter of each atom family: Z1, D1 (= Z2), Dic2 (= Q8), S1, A1.
+_LEAST_PARAMETER = {Cyclic: 1, Dihedral: 1, Dicyclic: 2, Symmetric: 1, Alternating: 1}
+
+
 def spec_order(spec: GroupSpec) -> int:
-    """Order of the group a spec evaluates to, without building it."""
+    """Order of the group a spec evaluates to, without building it.
+
+    Raises SpecValueError for an atom whose parameter names no group.
+    """
+    least = _LEAST_PARAMETER.get(type(spec))
+    if least is not None and spec.n < least:
+        raise SpecValueError(f"{print_spec(spec)} names no group: needs n >= {least}")
     if isinstance(spec, Cyclic):
         return spec.n
     if isinstance(spec, Dihedral):
@@ -177,13 +187,23 @@ def spec_order(spec: GroupSpec) -> int:
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
-def build(spec: GroupSpec, budget: int = ORDER_BUDGET) -> Group:
-    """Evaluate a spec to a Group, enforcing the order budget up front."""
+def check_order(spec: GroupSpec, budget: int = ORDER_BUDGET) -> int:
+    """``spec_order``, raising BudgetError when it exceeds the budget."""
     order = spec_order(spec)
     if order > budget:
         raise BudgetError(
             f"{print_spec(spec)} has order {order}, exceeding budget {budget}"
         )
+    return order
+
+
+def build(spec: GroupSpec, budget: int = ORDER_BUDGET) -> Group:
+    """Evaluate a spec to a Group, enforcing the order budget up front.
+
+    Raises SpecValueError for an atom that names no group and NonAbelianError
+    for ``Dih`` of a non-abelian group.
+    """
+    check_order(spec, budget)
     g = _build(spec, budget)
     g.name = print_spec(spec)
     return g

@@ -1,8 +1,12 @@
 """Subgroup lattice, maximal subgroups, Frattini subgroup, intersection poset.
 
-Enumeration seeds with all cyclic subgroups and closes under join until a
-fixpoint; every subgroup is a join of cyclic subgroups, so this reaches the
-whole lattice.  Maximal subgroups then fall out by an inclusion scan.
+Enumeration seeds with all cyclic subgroups and joins every subgroup found
+with every cyclic subgroup until a fixpoint; every subgroup is a join of
+cyclic subgroups, so this reaches the whole lattice.  Each join is a coset
+walk (``groups.join_element``).  The same fixpoint records the maximal
+subgroups: a proper subgroup is maximal iff its join with every cyclic
+subgroup outside it is the whole group.  The intersection poset folds the
+maximal subgroups one at a time into the set of intersections found so far.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
-from .groups import Group, bits, closure_mask, is_normal, join_mask, mask_of
+from .groups import Group, bits, closure_mask, is_normal, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
@@ -66,24 +70,37 @@ def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
 
 
 def all_subgroups(g: Group, guard: int = SUBGROUP_GUARD) -> Lattice:
-    """Enumerate every subgroup of g by cyclic-seed + join-closure."""
+    """Enumerate every subgroup of g by cyclic-seed + join-closure.
+
+    Also caches the maximal subgroups, which the same joins decide.
+    """
     cached = g._cache.get("lattice")
     if cached is not None:
         return cached
     full = g.full_mask
-    cyclics = sorted({closure_mask(g, 1 << x) for x in range(g.order)})
+    # each cyclic subgroup with one generator; joining a generator joins the subgroup
+    generator: dict[int, int] = {}
+    for x in range(g.order):
+        generator.setdefault(closure_mask(g, 1 << x), x)
+    cyclics = sorted(generator.items())
     found: set[int] = {1, full}
-    found.update(cyclics)
+    found.update(generator)
+    maximals: list[int] = []
     frontier = list(found)
     while frontier:
         fresh: list[int] = []
         for h in frontier:
             if h == full:
                 continue
-            for c in cyclics:
+            members = list(bits(h))
+            maximal = True
+            for c, x in cyclics:
                 if c & ~h == 0:
                     continue
-                j = join_mask(g, h, c)
+                j = join_element(g, members, x)
+                if j == full:
+                    continue
+                maximal = False
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
@@ -91,28 +108,22 @@ def all_subgroups(g: Group, guard: int = SUBGROUP_GUARD) -> Lattice:
                         raise LatticeGuardError(
                             f"more than {guard} subgroups in {g.name}"
                         )
+            if maximal:
+                maximals.append(h)
         frontier = fresh
     lat = Lattice(group=g, subgroups=_sorted_subgroups(found))
     g._cache["lattice"] = lat
+    g._cache["maximals"] = _sorted_subgroups(maximals)
     return lat
 
 
 def maximal_subgroups(g: Group) -> list[Subgroup]:
-    """Proper subgroups maximal under inclusion among proper subgroups."""
+    """Proper subgroups maximal under inclusion, sorted by (order, mask)."""
     if g.order < 2:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
-    cached = g._cache.get("maximals")
-    if cached is not None:
-        return list(cached)
-    full = g.full_mask
-    proper = [s for s in all_subgroups(g).subgroups if s.mask != full]
-    maximal = [
-        s
-        for s in proper
-        if not any(t.mask != s.mask and s.mask & ~t.mask == 0 for t in proper)
-    ]
-    g._cache["maximals"] = tuple(maximal)
-    return maximal
+    if "maximals" not in g._cache:
+        all_subgroups(g)
+    return list(g._cache["maximals"])
 
 
 def frattini(g: Group) -> Subgroup:
@@ -124,22 +135,18 @@ def frattini(g: Group) -> Subgroup:
 
 
 def intersection_subgroups(g: Group) -> IntersectionPoset:
-    """Close the maximal subgroups under pairwise intersection (fixpoint)."""
+    """All intersections of nonempty sets of maximal subgroups.
+
+    Folds the maximal subgroups in one at a time: the intersections of the
+    first k+1 are the first k's, their meets with the new one, and itself.
+    """
     cached = g._cache.get("iposet")
     if cached is not None:
         return cached
-    maximals = [m.mask for m in maximal_subgroups(g)]
-    found: set[int] = set(maximals)
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in found.copy():
-                c = a & b
-                if c not in found:
-                    found.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    found: set[int] = set()
+    for m in maximal_subgroups(g):
+        found |= {m.mask & f for f in found}
+        found.add(m.mask)
     poset = IntersectionPoset(members=_sorted_subgroups(found), bottom=frattini(g))
     g._cache["iposet"] = poset
     return poset

@@ -84,24 +84,35 @@ class SimplifiedDiagram:
 
 
 def structure_digraph(g: Group) -> StructureDigraph:
-    """Build the (unsolved) structure digraph of the avoidance game on g."""
+    """Build the (unsolved) structure digraph of the avoidance game on g.
+
+    Sets are handled by their incidence, the bitmask of the maximal
+    subgroups that contain them.  An intersection subgroup is the
+    intersection of the maximals in its incidence, so its incidence keys
+    it.  Adding x to a set ANDs its incidence with x's own: 0 means the set
+    now generates g, anything else names the smallest intersection subgroup
+    that contains the enlarged set.
+    """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
-    poset = intersection_subgroups(g)
-    nodes = poset.members
-    index = {s.mask: i for i, s in enumerate(nodes)}
-    maximals = [m.mask for m in maximal_subgroups(g)]
+    nodes = intersection_subgroups(g).members
+    elem_inc = [0] * g.order
+    for i, m in enumerate(maximal_subgroups(g)):
+        for x in bits(m.mask):
+            elem_inc[x] |= 1 << i
+    node_inc = []
+    for node in nodes:
+        inc = -1  # all ones; every node has elements
+        for x in bits(node.mask):
+            inc &= elem_inc[x]
+        node_inc.append(inc)
+    index = {inc: i for i, inc in enumerate(node_inc)}
     edges: set[tuple[int, int]] = set()
-    for i, node in enumerate(nodes):
+    for i, (node, inc) in enumerate(zip(nodes, node_inc)):
         for x in bits(g.full_mask & ~node.mask):
-            s = node.mask | 1 << x
-            inter = None
-            for m in maximals:
-                if s & ~m == 0:
-                    inter = m if inter is None else inter & m
-            if inter is None:
-                continue  # the move generates the whole group
-            edges.add((i, index[inter]))
+            target = inc & elem_inc[x]
+            if target:
+                edges.add((i, index[target]))
     return StructureDigraph(nodes=nodes, edges=tuple(sorted(edges)))
 
 

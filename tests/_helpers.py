@@ -2,7 +2,9 @@
 
 from itertools import product
 
-from dng.groups import Group
+import numpy as np
+
+from dng.groups import Group, bits, mask_of
 
 
 def brute_force_subgroup_masks(g: Group) -> set[int]:
@@ -47,3 +49,109 @@ def matrix_group_2x2(p: int, det_one: bool, name: str) -> Group:
     index = {m: i for i, m in enumerate(mats)}
     table = [[index[_mat_mul(a, b, p)] for b in mats] for a in mats]
     return Group.from_table(table, name)
+
+
+# ---------------------------------------------------------------------------
+# Reference lattice pipeline: the numpy closure, join fixpoint, inclusion-scan
+# maximals, pairwise-intersection fixpoint and per-move maximal scan that the
+# library used before its coset join and incidence index.  Nothing here reads
+# or fills the group's cache.
+
+
+def _close(g: Group, member_mask: int, frontier_mask: int) -> int:
+    """Close ``member_mask`` under products, multiplying only against the
+    frontier (products within member_mask \\ frontier are assumed known)."""
+    n = g.order
+    member = np.zeros(n, dtype=bool)
+    member[list(bits(member_mask))] = True
+    frontier = np.fromiter(bits(frontier_mask), dtype=np.int64)
+    while frontier.size:
+        elems = np.flatnonzero(member)
+        prods = np.concatenate(
+            (g.table[np.ix_(frontier, elems)].ravel(), g.table[np.ix_(elems, frontier)].ravel())
+        )
+        grown = member.copy()
+        grown[prods] = True
+        if int(grown.sum()) > n // 2:
+            # a subgroup of order > n/2 can only be the whole group
+            return g.full_mask
+        frontier = np.flatnonzero(grown & ~member)
+        member = grown
+    return mask_of(int(x) for x in np.flatnonzero(member))
+
+
+def reference_closure_mask(g: Group, mask: int) -> int:
+    return _close(g, mask | 1, mask | 1)
+
+
+def reference_join_mask(g: Group, closed: int, extra: int) -> int:
+    fresh = extra & ~closed
+    if fresh == 0:
+        return closed
+    return _close(g, closed | fresh, fresh)
+
+
+def reference_subgroup_masks(g: Group) -> set[int]:
+    """Cyclic seeds joined with every subgroup found until a fixpoint."""
+    full = g.full_mask
+    cyclics = sorted({reference_closure_mask(g, 1 << x) for x in range(g.order)})
+    found = {1, full, *cyclics}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for h in frontier:
+            if h == full:
+                continue
+            for c in cyclics:
+                if c & ~h == 0:
+                    continue
+                j = reference_join_mask(g, h, c)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return found
+
+
+def by_order(masks) -> list[int]:
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def reference_maximal_masks(g: Group, subgroups: set[int]) -> list[int]:
+    """Proper subgroups inside no other proper subgroup, by (order, mask)."""
+    proper = [s for s in by_order(subgroups) if s != g.full_mask]
+    return [s for s in proper if not any(t != s and s & ~t == 0 for t in proper)]
+
+
+def reference_intersection_masks(maximals: list[int]) -> set[int]:
+    """The maximal subgroups closed under pairwise intersection."""
+    found = set(maximals)
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in found.copy():
+                c = a & b
+                if c not in found:
+                    found.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return found
+
+
+def reference_digraph_edges(
+    g: Group, nodes: list[int], maximals: list[int]
+) -> tuple[tuple[int, int], ...]:
+    """Structure digraph edges, each move's target found by scanning the maximals."""
+    index = {s: i for i, s in enumerate(nodes)}
+    edges = set()
+    for i, node in enumerate(nodes):
+        for x in bits(g.full_mask & ~node):
+            s = node | 1 << x
+            inter = None
+            for m in maximals:
+                if s & ~m == 0:
+                    inter = m if inter is None else inter & m
+            if inter is not None:
+                edges.add((i, index[inter]))
+    return tuple(sorted(edges))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,24 @@ def test_parse_error_exit_2(capsys):
     assert "offset 5" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("Dih(S3)", "Dih argument S3 is not abelian"),
+        ("Z0", "Z0 names no group: needs n >= 1"),
+        ("Dic1", "Dic1 names no group: needs n >= 2"),
+        ("Z1", "Z1 is the trivial group"),
+        ("A2", "A2 is the trivial group"),
+        ("S1", "S1 is the trivial group"),
+    ],
+)
+def test_invalid_spec_exit_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_order_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "analyze", "S5", "--max-order", "100")
     assert code == 3
@@ -139,6 +161,44 @@ def test_verify_custom_catalog(tmp_path, capsys):
     assert lines[1].startswith("S3,")
     assert lines[2].startswith("Z4,")
     assert lines[3].startswith("Dic2,")
+
+
+def test_verify_catalog_bad_line_number(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    f.write_text("# survey\nS3\n\nZ4 x\nDic2\n")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {f}:4: syntax error at offset 4")
+
+
+def test_verify_catalog_unbuildable_line_number(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    f.write_text("S3\nDih(S3)\n")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(f), "--no-oracle")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {f}:2: Dih argument S3 is not abelian\n"
+
+
+def test_verify_catalog_checks_every_order_first(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    f.write_text("Dih(S3)\nS5\n")
+    code, _, err = run_cli(capsys, "verify", "--catalog", str(f), "--max-order", "100")
+    assert code == 3
+    assert err.startswith(f"error: {f}:2: S5 has order 120")
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dng.cli", "analyze", "S3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("group: S3 (order 6)\n")
 
 
 def test_unknown_command_exits():
