@@ -220,7 +220,12 @@ def _read_catalog(path: str) -> list[tuple[str, str]]:
 
 def _cmd_verify(args) -> int:
     if args.catalog:
-        entries = _read_catalog(args.catalog)
+        try:
+            entries = _read_catalog(args.catalog)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"error: {args.catalog}: {reason}", file=sys.stderr)
+            return EXIT_SPEC
         budget = args.max_order
     else:
         entries = [(None, s) for s in catalog_specs(args.max_order)]
@@ -267,6 +272,16 @@ def _cmd_verify(args) -> int:
     return EXIT_DISAGREE if disagreements else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dng",
@@ -279,14 +294,14 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, with_oracle: bool):
-        p.add_argument("--max-order", type=int, default=ORDER_BUDGET,
+        p.add_argument("--max-order", type=_positive_int, default=ORDER_BUDGET,
                        help="group order budget (default %(default)s)")
         p.add_argument("--mod-frattini", action="store_true",
                        help="first factor out the largest odd normal subgroup "
                             "inside the Frattini subgroup")
         if with_oracle:
-            p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                           help=BUDGET_HELP)
+            p.add_argument("--budget", type=_positive_int,
+                           default=oracle_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
             p.add_argument("--no-oracle", action="store_true",
                            help="skip the brute-force oracle")
 
@@ -307,10 +322,10 @@ def _parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_diagram)
 
     v = sub.add_parser("verify", help="survey the built-in catalog, emit CSV")
-    v.add_argument("--max-order", type=int, default=24,
+    v.add_argument("--max-order", type=_positive_int, default=24,
                    help="largest catalog group order (default %(default)s)")
     v.add_argument("--catalog", help="file with one group spec per line")
-    v.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
+    v.add_argument("--budget", type=_positive_int, default=oracle_mod.DEFAULT_BUDGET,
                    help=BUDGET_HELP)
     v.add_argument("--no-oracle", action="store_true", help="skip the oracle column")
     v.set_defaults(func=_cmd_verify)

@@ -7,6 +7,10 @@ walk (``groups.join_element``).  The same fixpoint records the maximal
 subgroups: a proper subgroup is maximal iff its join with every cyclic
 subgroup outside it is the whole group.  The intersection poset folds the
 maximal subgroups one at a time into the set of intersections found so far.
+
+Which maximal subgroups contain a set is answered by one index
+(``maximal_incidence``): per element, the bitmask of the maximal subgroups
+that contain it.  A set's incidence is the AND over its elements.
 """
 
 from __future__ import annotations
@@ -126,6 +130,61 @@ def maximal_subgroups(g: Group) -> list[Subgroup]:
     return list(g._cache["maximals"])
 
 
+@dataclass(frozen=True)
+class MaximalIncidence:
+    """Which maximal subgroups contain each element.
+
+    Bit i of an incidence stands for ``maximals[i]``, in
+    ``maximal_subgroups`` order.  The incidence of a set is the AND of its
+    elements' incidences, all ones for the empty set; it is 0 exactly when
+    the set generates the group.
+    """
+
+    maximals: tuple[int, ...]  # masks, in maximal_subgroups order
+    elements: tuple[int, ...]  # per element id, the maximals containing it
+
+    @property
+    def everything(self) -> int:
+        """Incidence of the empty set: every maximal subgroup."""
+        return (1 << len(self.maximals)) - 1
+
+    def of(self, mask: int) -> int:
+        """Incidence of the set ``mask``."""
+        inc = self.everything
+        for x in bits(mask):
+            inc &= self.elements[x]
+        return inc
+
+    def meet(self, inc: int) -> int:
+        """Intersection of the maximal subgroups in a nonzero incidence."""
+        out = -1  # all ones
+        for i in bits(inc):
+            out &= self.maximals[i]
+        return out
+
+    def join(self, inc: int) -> int:
+        """Union of the maximal subgroups in an incidence."""
+        out = 0
+        for i in bits(inc):
+            out |= self.maximals[i]
+        return out
+
+
+def maximal_incidence(g: Group) -> MaximalIncidence:
+    """The per-element maximal-incidence index of g, cached on the group."""
+    cached = g._cache.get("incidence")
+    if cached is not None:
+        return cached
+    maximals = tuple(m.mask for m in maximal_subgroups(g))
+    elements = [0] * g.order
+    for i, m in enumerate(maximals):
+        for x in bits(m):
+            elements[x] |= 1 << i
+    index = MaximalIncidence(maximals=maximals, elements=tuple(elements))
+    g._cache["incidence"] = index
+    return index
+
+
 def frattini(g: Group) -> Subgroup:
     """Intersection of all maximal subgroups."""
     inter = g.full_mask
@@ -185,13 +244,11 @@ def smallest_intersection_containing(g: Group, s) -> Subgroup:
     GeneratingSetError when no maximal subgroup contains ``s``.
     """
     mask = s if isinstance(s, int) else mask_of(s)
-    inter = None
-    for m in maximal_subgroups(g):
-        if m.contains_set(mask):
-            inter = m.mask if inter is None else inter & m.mask
-    if inter is None:
+    index = maximal_incidence(g)
+    inc = index.of(mask)
+    if not inc:
         raise GeneratingSetError("the set generates the whole group")
-    return Subgroup(inter)
+    return Subgroup(index.meet(inc))
 
 
 def union_of_maximals(g: Group) -> int:

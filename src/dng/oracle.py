@@ -3,7 +3,12 @@
 The memo is keyed on the literal selected-set bitmask, never on structure
 classes, so the oracle stays independent of the theory it cross-checks.  A
 move is legal when the enlarged set still lies inside some maximal subgroup,
-which is exactly the non-generating condition for a finite group.
+which is exactly the non-generating condition for a finite group.  The
+search carries each position's incidence, the bitmask of the maximal
+subgroups that contain it (``lattice.maximal_incidence``): a move ANDs it
+with the new element's incidence, and the legal moves are the union of the
+maximals in it, minus the position.  A move thus costs one big-int AND and
+one memo lookup, and only memo misses recurse.
 
 Before a full search the oracle counts the positions it would visit, the
 non-generating subsets, from the intersection poset (``class_sizes``) and
@@ -23,7 +28,7 @@ from .errors import (
     TrivialGroupError,
 )
 from .groups import Group, bits
-from .lattice import class_sizes, maximal_subgroups
+from .lattice import class_sizes, maximal_incidence, maximal_subgroups
 
 #: Default cap on the number of positions (non-generating subsets) a full
 #: search may visit, decided before searching; larger games fall back to
@@ -59,35 +64,43 @@ def mex(values) -> int:
 
 
 class _Search:
+    """Memoized mex recursion that carries each position's incidence.
+
+    The union of the maximals in an incidence is cached per incidence, so
+    the cache holds at most one entry per intersection subgroup.
+    """
+
     def __init__(self, g: Group, budget: int):
         if g.order < 2:
             raise TrivialGroupError("no avoidance game for the trivial group")
-        self.maximals = [m.mask for m in maximal_subgroups(g)]
+        self.incidence = maximal_incidence(g)
+        self.covers: dict[int, int] = {}
         self.budget = budget
         self.memo: dict[int, int] = {}
         self.effort = 0
 
-    def legal(self, p: int) -> bool:
-        return any(p & ~m == 0 for m in self.maximals)
-
-    def nim(self, p: int) -> int:
-        hit = self.memo.get(p)
-        if hit is not None:
-            return hit
-        if len(self.memo) >= self.budget:
+    def nim(self, p: int, inc: int) -> int:
+        """Nim-number of a position missing from the memo, given its incidence."""
+        memo = self.memo
+        if len(memo) >= self.budget:
             raise OracleBudgetError(f"memo would exceed {self.budget} positions")
-        # moves stay inside a maximal subgroup already containing p, so the
-        # legal additions are the uncovered remainder of their union
-        cover = 0
-        for m in self.maximals:
-            if p & ~m == 0:
-                cover |= m
+        cover = self.covers.get(inc)
+        if cover is None:
+            cover = self.covers[inc] = self.incidence.join(inc)
+        elem_inc = self.incidence.elements
+        moves = cover & ~p
+        self.effort += moves.bit_count()
         values = set()
-        for x in bits(cover & ~p):
-            self.effort += 1
-            values.add(self.nim(p | 1 << x))
+        while moves:
+            low = moves & -moves
+            moves ^= low
+            child = p | low
+            value = memo.get(child)
+            if value is None:
+                value = self.nim(child, inc & elem_inc[low.bit_length() - 1])
+            values.add(value)
         result = mex(values)
-        self.memo[p] = result
+        memo[p] = result
         return result
 
 
@@ -121,7 +134,7 @@ def _check_count(visited: int, predicted: int) -> None:
 def _full_search(g: Group, budget: int) -> _Search:
     predicted = _preflight(g, budget)
     search = _Search(g, budget)
-    search.nim(0)
+    search.nim(0, search.incidence.everything)
     _check_count(len(search.memo), predicted)
     return search
 
@@ -144,12 +157,25 @@ def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
 
 
 def brute_nim_position(g: Group, p, budget: int = DEFAULT_BUDGET) -> int:
-    """Nim-number of an arbitrary position (bitmask or Position)."""
+    """Nim-number of an arbitrary position (bitmask or Position).
+
+    Raises OracleBudgetError before searching when some maximal subgroup M
+    containing p has 2^(|M| - |p|) > ``budget``: every subset of M that
+    contains p is a position below p.  Passing this bounds the recursion
+    depth by log2(budget).
+    """
     mask = p.chosen if isinstance(p, Position) else p
     search = _Search(g, budget)
-    if not search.legal(mask):
+    inc = search.incidence.of(mask)
+    if not inc:
         raise GeneratingSetError("the set generates the whole group")
-    return search.nim(mask)
+    top = max(search.incidence.maximals[i].bit_count() for i in bits(inc))
+    if 1 << (top - mask.bit_count()) > budget:
+        raise OracleBudgetError(
+            f"at least 2^{top - mask.bit_count()} positions below this one, "
+            f"over the budget of {budget}"
+        )
+    return search.nim(mask, inc)
 
 
 def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
@@ -159,34 +185,35 @@ def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
     at a terminal position of size k awards the win to the first player when
     k is odd and to the second player when k is even.
     """
-    maximals = [m.mask for m in maximal_subgroups(g)]
-    parities = {m.bit_count() % 2 for m in maximals}
+    incidence = maximal_incidence(g)
+    parities = {m.bit_count() % 2 for m in incidence.maximals}
     if len(parities) != 1:
         raise ValueError("maximal subgroups have mixed parities")
     predicted = _preflight(g, budget)
+    elem_inc = incidence.elements
+    covers: dict[int, int] = {}
     memo: dict[int, frozenset[int]] = {}
 
-    def winners(p: int) -> frozenset[int]:
+    def winners(p: int, inc: int) -> frozenset[int]:
         hit = memo.get(p)
         if hit is not None:
             return hit
         if len(memo) >= budget:
             raise OracleBudgetError(f"memo would exceed {budget} positions")
-        cover = 0
-        for m in maximals:
-            if p & ~m == 0:
-                cover |= m
+        cover = covers.get(inc)
+        if cover is None:
+            cover = covers[inc] = incidence.join(inc)
         moves = cover & ~p
         if moves == 0:
             result = frozenset({p.bit_count() % 2})
         else:
             acc: set[int] = set()
             for x in bits(moves):
-                acc |= winners(p | 1 << x)
+                acc |= winners(p | 1 << x, inc & elem_inc[x])
             result = frozenset(acc)
         memo[p] = result
         return result
 
-    outcome = len(winners(0)) == 1
+    outcome = len(winners(0, incidence.everything)) == 1
     _check_count(len(memo), predicted)
     return outcome

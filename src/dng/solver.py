@@ -24,7 +24,7 @@ from typing import Union
 
 from .errors import SolverConsistencyError, TrivialGroupError
 from .groups import Group, bits
-from .lattice import Subgroup, intersection_subgroups, maximal_subgroups
+from .lattice import Subgroup, intersection_subgroups, maximal_incidence
 from .oracle import mex
 
 
@@ -96,16 +96,9 @@ def structure_digraph(g: Group) -> StructureDigraph:
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
     nodes = intersection_subgroups(g).members
-    elem_inc = [0] * g.order
-    for i, m in enumerate(maximal_subgroups(g)):
-        for x in bits(m.mask):
-            elem_inc[x] |= 1 << i
-    node_inc = []
-    for node in nodes:
-        inc = -1  # all ones; every node has elements
-        for x in bits(node.mask):
-            inc &= elem_inc[x]
-        node_inc.append(inc)
+    incidence = maximal_incidence(g)
+    elem_inc = incidence.elements
+    node_inc = [incidence.of(node.mask) for node in nodes]
     index = {inc: i for i, inc in enumerate(node_inc)}
     edges: set[tuple[int, int]] = set()
     for i, (node, inc) in enumerate(zip(nodes, node_inc)):

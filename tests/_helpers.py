@@ -155,3 +155,72 @@ def reference_digraph_edges(
             if inter is not None:
                 edges.add((i, index[inter]))
     return tuple(sorted(edges))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the game-tree search that scans every maximal subgroup at
+# every position for its legal moves, as the library did before its
+# incidence-carrying search.  Same literal memo and effort count; no budget.
+
+
+class ReferenceSearch:
+    def __init__(self, maximals: list[int]):
+        self.maximals = maximals
+        self.memo: dict[int, int] = {}
+        self.effort = 0
+
+    def legal(self, p: int) -> bool:
+        return any(p & ~m == 0 for m in self.maximals)
+
+    def nim(self, p: int) -> int:
+        hit = self.memo.get(p)
+        if hit is not None:
+            return hit
+        cover = 0
+        for m in self.maximals:
+            if p & ~m == 0:
+                cover |= m
+        values = set()
+        for x in bits(cover & ~p):
+            self.effort += 1
+            values.add(self.nim(p | 1 << x))
+        result = 0
+        while result in values:
+            result += 1
+        self.memo[p] = result
+        return result
+
+
+def reference_outcome_check(maximals: list[int]) -> bool:
+    """True iff every maximal line of play from the empty set has one winner."""
+    memo: dict[int, frozenset[int]] = {}
+
+    def winners(p: int) -> frozenset[int]:
+        hit = memo.get(p)
+        if hit is not None:
+            return hit
+        cover = 0
+        for m in maximals:
+            if p & ~m == 0:
+                cover |= m
+        moves = cover & ~p
+        if moves == 0:
+            result = frozenset({p.bit_count() % 2})
+        else:
+            acc: set[int] = set()
+            for x in bits(moves):
+                acc |= winners(p | 1 << x)
+            result = frozenset(acc)
+        memo[p] = result
+        return result
+
+    return len(winners(0)) == 1
+
+
+def reference_smallest_intersection(maximals: list[int], s: int) -> int | None:
+    """Intersection of the maximals containing ``s``; None when there are none."""
+    inter = None
+    for m in maximals:
+        if s & ~m == 0:
+            inter = m if inter is None else inter & m
+    return inter

@@ -189,6 +189,33 @@ def test_verify_catalog_checks_every_order_first(tmp_path, capsys):
     assert err.startswith(f"error: {f}:2: S5 has order 120")
 
 
+def test_verify_missing_catalog_exit_2(tmp_path, capsys):
+    missing = tmp_path / "specs.txt"
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "S3", "--max-order", "-5"],
+        ["analyze", "Z4", "--budget", "-1"],
+        ["diagram", "S3", "--max-order", "0"],
+        ["verify", "--max-order", "0"],
+        ["verify", "--budget", "0"],
+    ],
+)
+def test_non_positive_bound_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: expected a positive integer" in captured.err
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]

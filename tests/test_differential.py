@@ -1,20 +1,36 @@
-"""The lattice pipeline against the reference implementations in _helpers."""
+"""The lattice pipeline and the oracle against the reference implementations
+in _helpers."""
 
 import pytest
 
 from _helpers import (
+    ReferenceSearch,
     by_order,
     reference_closure_mask,
     reference_digraph_edges,
     reference_intersection_masks,
     reference_join_mask,
     reference_maximal_masks,
+    reference_outcome_check,
+    reference_smallest_intersection,
     reference_subgroup_masks,
 )
 from dng.catalog import catalog_specs
+from dng.errors import GeneratingSetError
 from dng.groups import bits, closure_mask, join_mask, make_cyclic
 from dng.groupspec import build, parse_spec
-from dng.lattice import all_subgroups, intersection_subgroups, maximal_subgroups
+from dng.lattice import (
+    all_subgroups,
+    intersection_subgroups,
+    maximal_subgroups,
+    smallest_intersection_containing,
+)
+from dng.oracle import (
+    brute_nim,
+    brute_nim_position,
+    brute_nim_table,
+    strategy_free_outcome_check,
+)
 from dng.solver import structure_digraph
 
 SPECS = catalog_specs(36) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"]
@@ -61,3 +77,65 @@ def test_prime_cyclic_has_only_the_trivial_maximal(n):
 def test_closure_of_nothing_is_trivial():
     for spec in ["Z2", "Z7", "S3"]:
         assert closure_mask(build(parse_spec(spec)), 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# The incidence-carrying oracle against the per-maximal scan it replaces.
+
+ORACLE_SPECS = catalog_specs(24) + ["A5"]
+
+
+def _maximal_masks(g):
+    return [m.mask for m in maximal_subgroups(g)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_oracle_matches_reference_search(spec):
+    g = build(parse_spec(spec))
+    ref = ReferenceSearch(_maximal_masks(g))
+    ref.nim(0)
+    assert brute_nim_table(g) == ref.memo
+    res = brute_nim(g)
+    assert (res.nim, res.memo_size, res.effort) == (
+        ref.memo[0], len(ref.memo), ref.effort
+    )
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_position_matches_reference_search(spec):
+    g = build(parse_spec(spec))
+    maximals = _maximal_masks(g)
+    for p in [0, *maximals]:
+        assert brute_nim_position(g, p) == ReferenceSearch(maximals).nim(p)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_outcome_check_matches_reference(spec):
+    g = build(parse_spec(spec))
+    maximals = _maximal_masks(g)
+    if len({m.bit_count() % 2 for m in maximals}) == 1:
+        assert strategy_free_outcome_check(g) == reference_outcome_check(maximals)
+    else:
+        with pytest.raises(ValueError, match="mixed parities"):
+            strategy_free_outcome_check(g)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(12))
+def test_smallest_intersection_matches_reference(spec):
+    g = build(parse_spec(spec))
+    maximals = _maximal_masks(g)
+    for s in range(1 << g.order):
+        expected = reference_smallest_intersection(maximals, s)
+        if expected is None:
+            with pytest.raises(GeneratingSetError):
+                smallest_intersection_containing(g, s)
+        else:
+            assert smallest_intersection_containing(g, s).mask == expected
+
+
+@pytest.mark.parametrize(
+    "spec, counters", [("A5", (0, 26984, 155100)), ("Z30", (3, 33814, 250977))]
+)
+def test_oracle_counters_are_pinned(spec, counters):
+    res = brute_nim(build(parse_spec(spec)))
+    assert (res.nim, res.memo_size, res.effort) == counters

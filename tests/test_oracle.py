@@ -126,6 +126,21 @@ def test_full_odd_maximal_is_terminal():
         assert brute_nim_position(z15, m.mask) == 0
 
 
+def test_position_skips_before_a_deep_search(monkeypatch):
+    # the DFS would descend 1001 levels into the maximal subgroup of order 1001
+    z2002 = make_cyclic(2002, budget=3000)
+    monkeypatch.setattr(oracle._Search, "nim", _refuse)
+    with pytest.raises(OracleBudgetError, match=r"at least 2\^1001 positions"):
+        brute_nim_position(z2002, 0, budget=5000)
+
+
+def test_position_budget_counts_positions_below():
+    z8 = make_cyclic(8)  # one maximal subgroup, of order 4
+    assert brute_nim_position(z8, 1, budget=8) == 1  # {e}: three moves left
+    with pytest.raises(OracleBudgetError):
+        brute_nim_position(z8, 1, budget=7)
+
+
 def test_position_rejects_generating_set():
     z6 = make_cyclic(6)
     with pytest.raises(GeneratingSetError):
