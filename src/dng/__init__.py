@@ -34,7 +34,6 @@ from .groups import (
 from .groupspec import GroupSpec, build, parse_spec, print_spec
 from .lattice import (
     IntersectionPoset,
-    Lattice,
     Subgroup,
     all_maximals_even,
     all_maximals_odd,
@@ -65,7 +64,6 @@ __all__ = [
     "Group",
     "GroupSpec",
     "IntersectionPoset",
-    "Lattice",
     "OracleResult",
     "Position",
     "Rule",

@@ -13,12 +13,13 @@ from .groups import (
     element_order,
     is_abelian,
     is_cyclic,
+    is_normal,
 )
 from .lattice import (
     all_maximals_even,
-    all_subgroups,
     even_maximals_cover,
     frattini,
+    maximal_subgroups,
 )
 
 
@@ -105,20 +106,9 @@ def cyclic_formula(n: int) -> int:
 
 
 def is_nilpotent(g: Group) -> bool:
-    """True iff each prime divisor has a unique (hence normal) Sylow subgroup."""
-    subgroup_orders = [s.order for s in all_subgroups(g).subgroups]
-    n = g.order
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            pe = 1
-            while n % p == 0:
-                n //= p
-                pe *= p
-            if subgroup_orders.count(pe) != 1:
-                return False
-        p += 1 if p == 2 else 2
-    return True
+    """True iff every maximal subgroup is normal, which for a finite group
+    is equivalent to nilpotency."""
+    return g.order == 1 or all(is_normal(g, m) for m in maximal_subgroups(g))
 
 
 def nilpotent_formula(g: Group) -> FamilyPrediction:
@@ -167,14 +157,12 @@ def real_element_disjunction(g: Group, x: int) -> bool:
     xinv = g.inv(x)
     if not any(g.conj(t, x) == xinv for t in range(g.order)):
         raise ValueError("x is not real")
-    xb = 1 << x
-    full = g.full_mask
-    for s in all_subgroups(g).subgroups:
-        if s.mask != full and s.order % 2 == 0 and s.contains_set(xb):
-            return True
+    # a proper even subgroup lies in a maximal one, whose order is then even
+    if any(m.is_even and x in m for m in maximal_subgroups(g)):
+        return True
     if g.order == 2 * k:
         for u in range(1, g.order):
             if g.mul(u, u) == 0 and g.conj(u, x) == xinv:
-                if closure_mask(g, xb | 1 << u) == full:
+                if closure_mask(g, 1 << x | 1 << u) == g.full_mask:
                     return True
     return False

@@ -211,11 +211,8 @@ CSV_COLUMNS = (
 def _read_catalog(path: str) -> list[tuple[str, str]]:
     """(``path:line``, spec) for each line that is neither blank nor a '#' comment."""
     with open(path, encoding="utf-8") as fh:
-        return [
-            (f"{path}:{lineno}", ln.strip())
-            for lineno, ln in enumerate(fh, 1)
-            if ln.strip() and not ln.startswith("#")
-        ]
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1)]
+    return [(f"{path}:{n}", ln) for n, ln in lines if ln and not ln.startswith("#")]
 
 
 def _cmd_verify(args) -> int:
@@ -245,9 +242,9 @@ def _cmd_verify(args) -> int:
         # one group at a time: its caches are dropped with it
         try:
             g = build(spec, budget)
-        except SPEC_ERRORS as exc:
+            report = analyze_group(g, no_oracle=args.no_oracle, oracle_budget=args.budget)
+        except SPEC_ERRORS + BUDGET_ERRORS as exc:
             return _fail(exc, where)
-        report = analyze_group(g, no_oracle=args.no_oracle, oracle_budget=args.budget)
         if not report.agreement:
             disagreements += 1
         try:

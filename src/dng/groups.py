@@ -8,6 +8,7 @@ the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -54,7 +55,10 @@ class Group:
     table: np.ndarray
     inverses: np.ndarray
     name: str
-    _cache: dict = field(default_factory=dict, repr=False)
+    #: ``closure_mask`` results, keyed by generating set
+    closures: dict[int, int] = field(default_factory=dict, repr=False)
+    #: ``lattice.per_group`` results, keyed by function
+    derived: dict = field(default_factory=dict, repr=False)
 
     @property
     def full_mask(self) -> int:
@@ -72,6 +76,13 @@ class Group:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group({self.name!r}, order={self.order})"
+
+    @functools.cached_property
+    def columns(self) -> list[list[int]]:
+        """``columns[b][a]`` is the id of a*b, as Python lists."""
+        # the entries share one int object per id: 8 bytes each, not 36
+        ids = list(range(self.order))
+        return [list(map(ids.__getitem__, col.tolist())) for col in self.table.T]
 
     @classmethod
     def from_table(
@@ -305,17 +316,6 @@ def element_orders(g: Group) -> list[int]:
     return sorted(element_order(g, x) for x in range(g.order))
 
 
-def _columns(g: Group) -> list[list[int]]:
-    """``cols[b][a]`` is the id of a*b, as Python lists (cached on the group)."""
-    cols = g._cache.get("columns")
-    if cols is None:
-        # the entries share one int object per id: 8 bytes each, not 36
-        ids = list(range(g.order))
-        cols = [list(map(ids.__getitem__, col.tolist())) for col in g.table.T]
-        g._cache["columns"] = cols
-    return cols
-
-
 #: Turns a 0/1 bytearray into the ASCII digits of a binary numeral.
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -331,7 +331,7 @@ def join_element(g: Group, members: list[int], x: int) -> int:
     outside it.  Once the union has more than n/2 elements it can only be
     the whole group.
     """
-    cols = _columns(g)
+    cols = g.columns
     n = g.order
     half = n // 2
     k = len(members)
@@ -371,16 +371,13 @@ def join_mask(g: Group, closed: int, extra: int) -> int:
 def closure_mask(g: Group, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements in ``mask``.
 
-    The join of the trivial subgroup with ``mask``; results are cached on
-    the group.
+    The join of the trivial subgroup with ``mask``; results are kept in
+    ``g.closures``.
     """
-    cache = g._cache.setdefault("closure", {})
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    result = join_mask(g, 1, mask)
-    cache[mask] = result
-    return result
+    hit = g.closures.get(mask)
+    if hit is None:
+        hit = g.closures[mask] = join_mask(g, 1, mask)
+    return hit
 
 
 def is_cyclic(g: Group) -> bool:

@@ -11,14 +11,18 @@ maximal subgroups one at a time into the set of intersections found so far.
 Which maximal subgroups contain a set is answered by one index
 (``maximal_incidence``): per element, the bitmask of the maximal subgroups
 that contain it.  A set's incidence is the AND over its elements.
+
+Results that depend only on the group are computed once per group: the
+``per_group`` decorator stores each in ``Group.derived`` under its function.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
-from .groups import Group, bits, closure_mask, is_normal, join_element, mask_of
+from .groups import Group, bits, closure_mask, element_order, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
@@ -44,27 +48,24 @@ class Subgroup:
     def members(self) -> list[int]:
         return list(bits(self.mask))
 
-    def contains_set(self, mask: int) -> bool:
-        return mask & ~self.mask == 0
-
-
-@dataclass
-class Lattice:
-    """All subgroups of a group, deduplicated, sorted by (order, mask)."""
-
-    group: Group
-    subgroups: tuple[Subgroup, ...]
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
-
 
 @dataclass
 class IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups."""
 
-    members: tuple[Subgroup, ...]  # sorted by (order, mask)
-    bottom: Subgroup  # the Frattini subgroup
+    members: tuple[Subgroup, ...]  # sorted by (order, mask); the first is Frattini
+
+
+def per_group(fn):
+    """Compute ``fn(g)`` once per group and return the stored result after."""
+
+    @functools.wraps(fn)
+    def once(g: Group):
+        if fn not in g.derived:
+            g.derived[fn] = fn(g)
+        return g.derived[fn]
+
+    return once
 
 
 def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
@@ -73,14 +74,9 @@ def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
     )
 
 
-def all_subgroups(g: Group, guard: int = SUBGROUP_GUARD) -> Lattice:
-    """Enumerate every subgroup of g by cyclic-seed + join-closure.
-
-    Also caches the maximal subgroups, which the same joins decide.
-    """
-    cached = g._cache.get("lattice")
-    if cached is not None:
-        return cached
+@per_group
+def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
+    """All subgroups and the maximal ones, by cyclic-seed + join-closure."""
     full = g.full_mask
     # each cyclic subgroup with one generator; joining a generator joins the subgroup
     generator: dict[int, int] = {}
@@ -108,26 +104,26 @@ def all_subgroups(g: Group, guard: int = SUBGROUP_GUARD) -> Lattice:
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
-                    if len(found) > guard:
+                    if len(found) > SUBGROUP_GUARD:
                         raise LatticeGuardError(
-                            f"more than {guard} subgroups in {g.name}"
+                            f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
                         )
             if maximal:
                 maximals.append(h)
         frontier = fresh
-    lat = Lattice(group=g, subgroups=_sorted_subgroups(found))
-    g._cache["lattice"] = lat
-    g._cache["maximals"] = _sorted_subgroups(maximals)
-    return lat
+    return _sorted_subgroups(found), _sorted_subgroups(maximals)
+
+
+def all_subgroups(g: Group) -> tuple[Subgroup, ...]:
+    """Every subgroup of g, sorted by (order, mask)."""
+    return _enumerate(g)[0]
 
 
 def maximal_subgroups(g: Group) -> list[Subgroup]:
     """Proper subgroups maximal under inclusion, sorted by (order, mask)."""
     if g.order < 2:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
-    if "maximals" not in g._cache:
-        all_subgroups(g)
-    return list(g._cache["maximals"])
+    return list(_enumerate(g)[1])
 
 
 @dataclass(frozen=True)
@@ -170,19 +166,15 @@ class MaximalIncidence:
         return out
 
 
+@per_group
 def maximal_incidence(g: Group) -> MaximalIncidence:
-    """The per-element maximal-incidence index of g, cached on the group."""
-    cached = g._cache.get("incidence")
-    if cached is not None:
-        return cached
+    """The per-element maximal-incidence index of g."""
     maximals = tuple(m.mask for m in maximal_subgroups(g))
     elements = [0] * g.order
     for i, m in enumerate(maximals):
         for x in bits(m):
             elements[x] |= 1 << i
-    index = MaximalIncidence(maximals=maximals, elements=tuple(elements))
-    g._cache["incidence"] = index
-    return index
+    return MaximalIncidence(maximals=maximals, elements=tuple(elements))
 
 
 def frattini(g: Group) -> Subgroup:
@@ -193,24 +185,21 @@ def frattini(g: Group) -> Subgroup:
     return Subgroup(inter)
 
 
+@per_group
 def intersection_subgroups(g: Group) -> IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups.
 
     Folds the maximal subgroups in one at a time: the intersections of the
     first k+1 are the first k's, their meets with the new one, and itself.
     """
-    cached = g._cache.get("iposet")
-    if cached is not None:
-        return cached
     found: set[int] = set()
     for m in maximal_subgroups(g):
         found |= {m.mask & f for f in found}
         found.add(m.mask)
-    poset = IntersectionPoset(members=_sorted_subgroups(found), bottom=frattini(g))
-    g._cache["iposet"] = poset
-    return poset
+    return IntersectionPoset(members=_sorted_subgroups(found))
 
 
+@per_group
 def class_sizes(g: Group) -> tuple[int, ...]:
     """Number of subsets whose smallest containing intersection is each member.
 
@@ -219,9 +208,6 @@ def class_sizes(g: Group) -> tuple[int, ...]:
     containing it, so g(I) = 2^|I| - sum of g(J) over members J strictly
     inside I, and the sizes sum to the number of game positions.
     """
-    cached = g._cache.get("class_sizes")
-    if cached is not None:
-        return cached
     masks = [s.mask for s in intersection_subgroups(g).members]
     sizes: list[int] = []
     # members are sorted by order, so every proper subgroup J of I comes first
@@ -231,9 +217,7 @@ def class_sizes(g: Group) -> tuple[int, ...]:
             if b & ~a == 0:
                 n -= size
         sizes.append(n)
-    result = tuple(sizes)
-    g._cache["class_sizes"] = result
-    return result
+    return tuple(sizes)
 
 
 def smallest_intersection_containing(g: Group, s) -> Subgroup:
@@ -276,17 +260,15 @@ def all_maximals_odd(g: Group) -> bool:
 
 
 def largest_odd_normal_in_frattini(g: Group) -> Subgroup:
-    """Largest odd-order normal subgroup contained in the Frattini subgroup."""
+    """Largest odd-order normal subgroup contained in the Frattini subgroup.
+
+    The Frattini subgroup is nilpotent (Frattini's theorem), so its
+    odd-order elements form its Hall 2'-subgroup.  That subgroup is
+    characteristic in the Frattini subgroup, hence normal in g, and holds
+    every odd-order subgroup of the Frattini subgroup.
+    """
     phi = frattini(g).mask
-    best = 1
-    for s in all_subgroups(g).subgroups:
-        if s.mask & ~phi:
-            continue
-        if s.order % 2 == 0 or s.order <= best.bit_count():
-            continue
-        if is_normal(g, s.mask):
-            best = s.mask
-    return Subgroup(best)
+    return Subgroup(mask_of(x for x in bits(phi) if element_order(g, x) % 2))
 
 
 def lattice_dot(g: Group) -> str:
@@ -295,7 +277,7 @@ def lattice_dot(g: Group) -> str:
     Nodes are labeled by subgroup order; inclusion edges are transitively
     reduced.  Output is deterministic for a fixed group.
     """
-    subs = all_subgroups(g).subgroups
+    subs = all_subgroups(g)
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
         lines.append(f'  n{i} [label="{s.order}"];')

@@ -4,7 +4,8 @@ from itertools import product
 
 import numpy as np
 
-from dng.groups import Group, bits, mask_of
+from dng.groups import Group, bits, closure_mask, element_order, is_normal, mask_of
+from dng.lattice import all_subgroups, frattini
 
 
 def brute_force_subgroup_masks(g: Group) -> set[int]:
@@ -224,3 +225,56 @@ def reference_smallest_intersection(maximals: list[int], s: int) -> int | None:
         if s & ~m == 0:
             inter = m if inter is None else inter & m
     return inter
+
+
+# ---------------------------------------------------------------------------
+# Reference predicates that scan the whole subgroup lattice, as the library
+# did before it read them off the maximal subgroups alone.
+
+
+def reference_is_nilpotent(g: Group) -> bool:
+    """True iff each prime divisor has a unique (hence normal) Sylow subgroup."""
+    subgroup_orders = [s.order for s in all_subgroups(g)]
+    n = g.order
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            pe = 1
+            while n % p == 0:
+                n //= p
+                pe *= p
+            if subgroup_orders.count(pe) != 1:
+                return False
+        p += 1 if p == 2 else 2
+    return True
+
+
+def reference_largest_odd_normal_in_frattini(g: Group) -> int:
+    """Largest odd-order normal subgroup inside the Frattini subgroup, by scan."""
+    phi = frattini(g).mask
+    best = 1
+    for s in all_subgroups(g):
+        if s.mask & ~phi:
+            continue
+        if s.order % 2 == 0 or s.order <= best.bit_count():
+            continue
+        if is_normal(g, s.mask):
+            best = s.mask
+    return best
+
+
+def reference_real_element_disjunction(g: Group, x: int) -> bool:
+    """For a real odd-order x: some proper even subgroup contains x, or g is
+    the dihedral extension of <x>."""
+    k = element_order(g, x)
+    xinv = g.inv(x)
+    full = g.full_mask
+    for s in all_subgroups(g):
+        if s.mask != full and s.order % 2 == 0 and x in s:
+            return True
+    if g.order == 2 * k:
+        for u in range(1, g.order):
+            if g.mul(u, u) == 0 and g.conj(u, x) == xinv:
+                if closure_mask(g, 1 << x | 1 << u) == full:
+                    return True
+    return False

@@ -161,7 +161,7 @@ def test_zero_iff_covering(catalog24, oracle_nims24):
             continue
         cover = even_maximals_cover(g)
         full = g.full_mask
-        subs = [s for s in all_subgroups(g).subgroups
+        subs = [s for s in all_subgroups(g)
                 if s.mask != full and s.order % 2 == 0]
         odd_wrapped = all(
             any(s.mask >> x & 1 for s in subs)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dng import lattice
 from dng.cli import CSV_COLUMNS, main
 
 
@@ -187,6 +188,24 @@ def test_verify_catalog_checks_every_order_first(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--catalog", str(f), "--max-order", "100")
     assert code == 3
     assert err.startswith(f"error: {f}:2: S5 has order 120")
+
+
+def test_verify_catalog_indented_comment(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    f.write_text("S3\n  # note\n\tZ4\n")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(f), "--no-oracle")
+    assert code == 0
+    assert [ln.split(",")[0] for ln in out.splitlines()[1:]] == ["S3", "Z4"]
+
+
+def test_verify_catalog_lattice_guard_line_number(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "SUBGROUP_GUARD", 10)
+    f = tmp_path / "specs.txt"
+    f.write_text("S3\nZ2 x Z2 x Z2\n")
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(f), "--no-oracle")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {f}:2: more than 10 subgroups in Z2 x Z2 x Z2\n"
 
 
 def test_verify_missing_catalog_exit_2(tmp_path, capsys):

@@ -6,22 +6,28 @@ import pytest
 from _helpers import (
     ReferenceSearch,
     by_order,
+    matrix_group_2x2,
     reference_closure_mask,
     reference_digraph_edges,
     reference_intersection_masks,
+    reference_is_nilpotent,
     reference_join_mask,
+    reference_largest_odd_normal_in_frattini,
     reference_maximal_masks,
     reference_outcome_check,
+    reference_real_element_disjunction,
     reference_smallest_intersection,
     reference_subgroup_masks,
 )
 from dng.catalog import catalog_specs
+from dng.classify import is_nilpotent, real_element_disjunction
 from dng.errors import GeneratingSetError
-from dng.groups import bits, closure_mask, join_mask, make_cyclic
+from dng.groups import bits, closure_mask, element_order, join_mask, make_cyclic
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
     all_subgroups,
     intersection_subgroups,
+    largest_odd_normal_in_frattini,
     maximal_subgroups,
     smallest_intersection_containing,
 )
@@ -42,7 +48,7 @@ def test_lattice_pipeline_matches_reference(spec):
     subgroups = reference_subgroup_masks(g)
     maximals = reference_maximal_masks(g, subgroups)
     nodes = by_order(reference_intersection_masks(maximals))
-    assert {s.mask for s in all_subgroups(g).subgroups} == subgroups
+    assert {s.mask for s in all_subgroups(g)} == subgroups
     assert [m.mask for m in maximal_subgroups(g)] == maximals
     assert [s.mask for s in intersection_subgroups(g).members] == nodes
     assert structure_digraph(g).edges == reference_digraph_edges(g, nodes, maximals)
@@ -139,3 +145,31 @@ def test_smallest_intersection_matches_reference(spec):
 def test_oracle_counters_are_pinned(spec, counters):
     res = brute_nim(build(parse_spec(spec)))
     assert (res.nim, res.memo_size, res.effort) == counters
+
+
+# ---------------------------------------------------------------------------
+# Predicates read off the maximal subgroups against the lattice scans they
+# replace.
+
+PREDICATE_SPECS = catalog_specs(36) + ["A5", "S5", "GL(2,3)", "SL(2,3)"]
+
+
+def _predicate_group(spec):
+    if spec.endswith("L(2,3)"):
+        return matrix_group_2x2(3, det_one=spec == "SL(2,3)", name=spec)
+    return build(parse_spec(spec))
+
+
+@pytest.mark.parametrize("spec", PREDICATE_SPECS)
+def test_predicates_match_lattice_scans(spec):
+    g = _predicate_group(spec)
+    assert is_nilpotent(g) == reference_is_nilpotent(g)
+    assert largest_odd_normal_in_frattini(g).mask == (
+        reference_largest_odd_normal_in_frattini(g)
+    )
+    if g.order <= 2:
+        return
+    for x in range(g.order):
+        xinv = g.inv(x)
+        if element_order(g, x) % 2 and any(g.conj(t, x) == xinv for t in range(g.order)):
+            assert real_element_disjunction(g, x) == reference_real_element_disjunction(g, x)

@@ -4,6 +4,7 @@ from _helpers import brute_force_subgroup_masks
 from dng.errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
 from dng.groups import closure_mask, is_cyclic, make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
+from dng import lattice
 from dng.lattice import (
     all_maximals_even,
     all_maximals_odd,
@@ -28,7 +29,7 @@ def test_subgroup_counts_small():
 def test_enumeration_matches_brute_force(spec):
     g = build(parse_spec(spec))
     expected = brute_force_subgroup_masks(g)
-    got = {s.mask for s in all_subgroups(g).subgroups}
+    got = {s.mask for s in all_subgroups(g)}
     assert got == expected
 
 
@@ -36,17 +37,16 @@ def test_a4_has_ten_subgroups():
     assert len(all_subgroups(make_alternating(4))) == 10
 
 
-def test_lattice_guard():
-    g = build(parse_spec("Z2 x Z2 x Z2 x Z2"))
-    g._cache.clear()
+def test_lattice_guard(monkeypatch):
+    monkeypatch.setattr(lattice, "SUBGROUP_GUARD", 10)
     with pytest.raises(LatticeGuardError):
-        all_subgroups(g, guard=10)
+        all_subgroups(build(parse_spec("Z2 x Z2 x Z2 x Z2")))
 
 
 def test_subgroup_invariants():
     for spec in ["A4", "Dic3", "Z18 x Z2", "Dih(Z3 x Z3)"]:
         g = build(parse_spec(spec))
-        for s in all_subgroups(g).subgroups:
+        for s in all_subgroups(g):
             assert 0 in s
             assert closure_mask(g, s.mask) == s.mask
             assert g.order % s.order == 0
@@ -83,9 +83,9 @@ def test_intersection_subgroups_a4():
     poset = intersection_subgroups(a4)
     assert sorted(s.order for s in poset.members) == [1, 3, 3, 3, 3, 4]
     # the order-2 subgroups exist in the lattice but are not intersections
-    assert any(s.order == 2 for s in all_subgroups(a4).subgroups)
+    assert any(s.order == 2 for s in all_subgroups(a4))
     assert not any(s.order == 2 for s in poset.members)
-    assert poset.bottom.order == 1
+    assert poset.members[0].order == 1
 
 
 def test_intersection_subgroups_prime_cyclic():
@@ -96,7 +96,7 @@ def test_intersection_subgroups_prime_cyclic():
 def test_intersection_subgroups_z6xz2():
     poset = intersection_subgroups(build(parse_spec("Z6 x Z2")))
     orders = [s.order for s in poset.members]
-    assert poset.bottom.order == 1
+    assert poset.members[0].order == 1
     assert orders.count(6) == 3
 
 
@@ -108,8 +108,8 @@ def test_intersection_closed_and_bottom_minimal():
         for a in masks:
             for b in masks:
                 assert a & b in masks
-        assert all(poset.bottom.mask & ~s.mask == 0 for s in poset.members)
-        assert poset.bottom.mask == frattini(g).mask
+        assert all(frattini(g).mask & ~s.mask == 0 for s in poset.members)
+        assert poset.members[0].mask == frattini(g).mask
 
 
 def test_smallest_intersection_of_empty_set_is_frattini():

@@ -1,0 +1,89 @@
+"""Hypothesis properties: relabeling invariance and three-way agreement."""
+
+from hypothesis import event, given, reject, settings, strategies as st
+
+from dng.catalog import catalog_specs
+from dng.classify import classify, is_nilpotent
+from dng.errors import NonAbelianError, OracleBudgetError
+from dng.groups import Group
+from dng.groupspec import (
+    Alternating,
+    Cyclic,
+    Dicyclic,
+    Dihedral,
+    DirectProduct,
+    GeneralizedDihedralOf,
+    Symmetric,
+    build,
+    parse_spec,
+    spec_order,
+)
+from dng.lattice import largest_odd_normal_in_frattini
+from dng.oracle import brute_nim
+from dng.solver import emit_dot, game_nim, simplify, solve_types, structure_digraph, type_multiset
+
+#: Oracle budget for random specs: larger games are skipped, not failed.
+ORACLE_TEST_BUDGET = 20_000
+
+
+def _relabeled(g: Group, perm: list[int]) -> Group:
+    """g with element a renamed perm[a]; perm[0] is 0."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[perm[a]][perm[b]] = perm[int(g.table[a, b])]
+    return Group.from_table(table, g.name)
+
+
+def _invariants(g: Group) -> tuple:
+    cls = classify(g)
+    d = solve_types(structure_digraph(g))
+    return (
+        cls.nim,
+        cls.rule,
+        game_nim(g),
+        type_multiset(d),
+        emit_dot(simplify(d)),
+        is_nilpotent(g),
+        largest_odd_normal_in_frattini(g).order,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(catalog_specs(24)), st.data())
+def test_relabeling_keeps_every_invariant(spec, data):
+    g = build(parse_spec(spec))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)), label="perm")
+    assert _invariants(_relabeled(g, perm)) == _invariants(g)
+
+
+_atoms = st.one_of(
+    st.builds(Cyclic, st.integers(2, 48)),
+    st.builds(Dihedral, st.integers(1, 24)),
+    st.builds(Dicyclic, st.integers(2, 12)),
+    st.builds(Symmetric, st.integers(2, 4)),
+    st.builds(Alternating, st.integers(3, 4)),
+)
+_small_specs = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.builds(GeneralizedDihedralOf, inner),
+        st.builds(DirectProduct, inner, inner),
+    ),
+    max_leaves=3,
+).filter(lambda spec: spec_order(spec) <= 48)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_classifier_solver_and_oracle_agree(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    nim = classify(g).nim
+    assert game_nim(g) == nim
+    try:
+        assert brute_nim(g, ORACLE_TEST_BUDGET).nim == nim
+    except OracleBudgetError:
+        event("oracle skipped (budget)")
