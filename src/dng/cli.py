@@ -37,7 +37,8 @@ BUDGET_ERRORS = (BudgetError, LatticeGuardError)
 
 BUDGET_HELP = (
     "skip the oracle when the group has more positions (non-generating "
-    "subsets) than this; decided before searching (default %(default)s)"
+    "subsets) than this; decided before searching; at most 2**64 "
+    "(default %(default)s)"
 )
 
 
@@ -279,6 +280,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(text: str) -> int:
+    value = _positive_int(text)
+    if value > oracle_mod.MAX_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"expected at most 2**64 = {oracle_mod.MAX_BUDGET}"
+        )
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dng",
@@ -297,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="first factor out the largest odd normal subgroup "
                             "inside the Frattini subgroup")
         if with_oracle:
-            p.add_argument("--budget", type=_positive_int,
+            p.add_argument("--budget", type=_budget,
                            default=oracle_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
             p.add_argument("--no-oracle", action="store_true",
                            help="skip the brute-force oracle")
@@ -322,7 +332,7 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--max-order", type=_positive_int, default=24,
                    help="largest catalog group order (default %(default)s)")
     v.add_argument("--catalog", help="file with one group spec per line")
-    v.add_argument("--budget", type=_positive_int, default=oracle_mod.DEFAULT_BUDGET,
+    v.add_argument("--budget", type=_budget, default=oracle_mod.DEFAULT_BUDGET,
                    help=BUDGET_HELP)
     v.add_argument("--no-oracle", action="store_true", help="skip the oracle column")
     v.set_defaults(func=_cmd_verify)

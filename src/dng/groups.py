@@ -199,22 +199,21 @@ def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     return Group.from_table(t, f"Dic{n}", check_associativity=False)
 
 
-def _perm_compose(p: tuple, q: tuple) -> tuple:
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def _perm_parity(p: tuple) -> int:
     inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
     return inv % 2
 
 
 def _perm_group(perms: list[tuple], name: str) -> Group:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    t = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            t[i, j] = index[_perm_compose(p, q)]
+    """Group of the given permutations of 0..n-1; product p*q maps i to p[q[i]]."""
+    p = np.array(perms, dtype=np.int64)
+    m, n = p.shape
+    products = np.take_along_axis(p[:, None, :], np.broadcast_to(p, (m, m, n)), axis=2)
+    # a permutation's code: its images as the digits of a base-n numeral
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = p @ weights
+    rank = np.argsort(codes)
+    t = rank[np.searchsorted(codes[rank], products @ weights)]
     return Group.from_table(t, name, check_associativity=False)
 
 
@@ -310,10 +309,6 @@ def element_order(g: Group, x: int) -> int:
         y = g.mul(y, x)
         k += 1
     return k
-
-
-def element_orders(g: Group) -> list[int]:
-    return sorted(element_order(g, x) for x in range(g.order))
 
 
 #: Turns a 0/1 bytearray into the ASCII digits of a binary numeral.

@@ -1,12 +1,19 @@
 """Subgroup lattice, maximal subgroups, Frattini subgroup, intersection poset.
 
-Enumeration seeds with all cyclic subgroups and joins every subgroup found
-with every cyclic subgroup until a fixpoint; every subgroup is a join of
-cyclic subgroups, so this reaches the whole lattice.  Each join is a coset
-walk (``groups.join_element``).  The same fixpoint records the maximal
-subgroups: a proper subgroup is maximal iff its join with every cyclic
-subgroup outside it is the whole group.  The intersection poset folds the
-maximal subgroups one at a time into the set of intersections found so far.
+Enumeration works up to conjugacy, by cyclic extension (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005).  The seeds are the
+cyclic subgroups of prime-power order: every element is a product of
+prime-power powers of itself, so every subgroup is a join of seeds.  Starting
+from the trivial subgroup, one representative of each conjugacy class is
+joined with every seed (a coset walk, ``groups.join_element``); a join not
+seen before is a new class, whose members are listed at once by conjugating
+with a generating set of g.  Since <H, hx> = <H, x> for h in H, a
+representative is joined with at most one seed per right coset.  A proper
+subgroup is maximal iff its join with every seed outside it is the whole
+group (an element outside H has a prime-power part outside H), and the
+maximal subgroups are the classes of the maximal representatives.  The
+intersection poset folds the maximal subgroups one at a time into the set of
+intersections found so far.
 
 Which maximal subgroups contain a set is answered by one index
 (``maximal_incidence``): per element, the bitmask of the maximal subgroups
@@ -74,43 +81,81 @@ def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
     )
 
 
+def _is_prime_power(k: int) -> bool:
+    p = 2
+    while k % p:
+        p += 1
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
 @per_group
 def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
-    """All subgroups and the maximal ones, by cyclic-seed + join-closure."""
+    """All subgroups and the maximal ones, one conjugacy class at a time."""
     full = g.full_mask
-    # each cyclic subgroup with one generator; joining a generator joins the subgroup
+    # each cyclic subgroup of prime-power order with one generator; joining a
+    # generator joins the subgroup
     generator: dict[int, int] = {}
-    for x in range(g.order):
-        generator.setdefault(closure_mask(g, 1 << x), x)
-    cyclics = sorted(generator.items())
-    found: set[int] = {1, full}
-    found.update(generator)
+    for x in range(1, g.order):
+        c = closure_mask(g, 1 << x)
+        if _is_prime_power(c.bit_count()):
+            generator.setdefault(c, x)
+    seeds = sorted(generator.items())
+    # conjugation by a generating set of g, taken greedily from the seeds:
+    # conj[h] is x*h*x^-1
+    conjugations: list[list[int]] = []
+    span = 1
+    for c, x in seeds:
+        if span == full:
+            break
+        if c & ~span:
+            span = join_element(g, list(bits(span)), x)
+            conjugations.append(g.table[:, g.inverses[x]][g.table[x]].tolist())
+
+    def conjugacy_class(h: int) -> list[int]:
+        orbit = [h]
+        seen = {h}
+        for k in orbit:  # grows while it is walked
+            members = list(bits(k))
+            for conj in conjugations:
+                image = mask_of(conj[m] for m in members)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        return orbit
+
+    cols = g.columns
+    found = {1, full}
+    classes = [[1]]  # each class lists its representative first
     maximals: list[int] = []
-    frontier = list(found)
-    while frontier:
-        fresh: list[int] = []
-        for h in frontier:
-            if h == full:
+    for orbit in classes:  # grows while it is walked
+        members = list(bits(orbit[0]))
+        # <H, hx> = <H, x> for h in H: one join per right coset of H; the
+        # coset H itself adds nothing
+        done = bytearray(g.order)
+        for m in members:
+            done[m] = 1
+        maximal = True
+        for _, x in seeds:
+            if done[x]:
                 continue
-            members = list(bits(h))
-            maximal = True
-            for c, x in cyclics:
-                if c & ~h == 0:
-                    continue
-                j = join_element(g, members, x)
-                if j == full:
-                    continue
-                maximal = False
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-                    if len(found) > SUBGROUP_GUARD:
-                        raise LatticeGuardError(
-                            f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
-                        )
-            if maximal:
-                maximals.append(h)
-        frontier = fresh
+            j = join_element(g, members, x)
+            col = cols[x]
+            for m in members:
+                done[col[m]] = 1
+            if j == full:
+                continue
+            maximal = False
+            if j not in found:
+                classes.append(conjugacy_class(j))
+                found.update(classes[-1])
+                if len(found) > SUBGROUP_GUARD:
+                    raise LatticeGuardError(
+                        f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
+                    )
+        if maximal:
+            maximals.extend(orbit)
     return _sorted_subgroups(found), _sorted_subgroups(maximals)
 
 
@@ -235,13 +280,6 @@ def smallest_intersection_containing(g: Group, s) -> Subgroup:
     return Subgroup(index.meet(inc))
 
 
-def union_of_maximals(g: Group) -> int:
-    u = 0
-    for m in maximal_subgroups(g):
-        u |= m.mask
-    return u
-
-
 def even_maximals_cover(g: Group) -> bool:
     """True iff the union of even-order maximal subgroups is all of g."""
     u = 0
@@ -281,15 +319,17 @@ def lattice_dot(g: Group) -> str:
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
         lines.append(f'  n{i} [label="{s.order}"];')
-    n = len(subs)
-    below = [
-        [j for j in range(n) if j != i and subs[j].mask & ~subs[i].mask == 0]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in below[i]:
-            # keep j -> i only when no subgroup sits strictly between
-            if not any(j in below[k] for k in below[i] if k != j):
-                lines.append(f"  n{j} -> n{i};")
+    # bit j of below[i]: subs[j] is a proper subgroup of subs[i]; sorted by
+    # order, every proper subgroup of subs[i] comes before it
+    below: list[int] = []
+    for i, s in enumerate(subs):
+        below.append(mask_of(j for j in range(i) if subs[j].mask & ~s.mask == 0))
+    for i, under in enumerate(below):
+        # keep j -> i only when no subgroup sits strictly between
+        between = 0
+        for k in bits(under):
+            between |= below[k]
+        for j in bits(under & ~between):
+            lines.append(f"  n{j} -> n{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

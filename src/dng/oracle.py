@@ -35,6 +35,11 @@ from .lattice import class_sizes, maximal_incidence, maximal_subgroups
 #: solver-only verification.
 DEFAULT_BUDGET = 2_000_000
 
+#: Largest budget the command line accepts.  A search that runs visits every
+#: subset of some maximal subgroup M, so 2^|M| <= budget and its recursion is
+#: at most log2(budget) + 1 = 65 deep, well under Python's recursion limit.
+MAX_BUDGET = 2**64
+
 
 @dataclass(frozen=True)
 class Position:

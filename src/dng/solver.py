@@ -222,25 +222,6 @@ def emit_dot(d: Union[StructureDigraph, SimplifiedDiagram]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_json(d: StructureDigraph) -> dict:
-    """JSON rendering of a solved digraph with stable node indices."""
-    if not d.solved:
-        raise ValueError("digraph_to_json needs a solved digraph")
-    return {
-        "format": "dng-digraph-v1",
-        "nodes": [
-            {
-                "subgroup_order": s.order,
-                "parity": t.parity,
-                "nim_even": t.nim_even,
-                "nim_odd": t.nim_odd,
-            }
-            for s, t in zip(d.nodes, d.types)
-        ],
-        "edges": [[i, j] for i, j in d.edges],
-    }
-
-
 def type_multiset(d: StructureDigraph) -> dict[str, int]:
     """Counts of solved node types, keyed by the printed triple."""
     if not d.solved:

@@ -4,8 +4,17 @@ from itertools import product
 
 import numpy as np
 
-from dng.groups import Group, bits, closure_mask, element_order, is_normal, mask_of
-from dng.lattice import all_subgroups, frattini
+from dng.groups import (
+    Group,
+    bits,
+    closure_mask,
+    element_order,
+    is_normal,
+    join_element,
+    mask_of,
+)
+from dng.lattice import all_subgroups, frattini, maximal_subgroups
+from dng.solver import StructureDigraph
 
 
 def brute_force_subgroup_masks(g: Group) -> set[int]:
@@ -23,6 +32,36 @@ def brute_force_subgroup_masks(g: Group) -> set[int]:
         if all(mask >> g.mul(a, b) & 1 for a in members for b in members):
             found.add(mask)
     return found
+
+
+def element_orders(g: Group) -> list[int]:
+    return sorted(element_order(g, x) for x in range(g.order))
+
+
+def union_of_maximals(g: Group) -> int:
+    u = 0
+    for m in maximal_subgroups(g):
+        u |= m.mask
+    return u
+
+
+def digraph_to_json(d: StructureDigraph) -> dict:
+    """JSON rendering of a solved digraph with stable node indices."""
+    if not d.solved:
+        raise ValueError("digraph_to_json needs a solved digraph")
+    return {
+        "format": "dng-digraph-v1",
+        "nodes": [
+            {
+                "subgroup_order": s.order,
+                "parity": t.parity,
+                "nim_even": t.nim_even,
+                "nim_odd": t.nim_odd,
+            }
+            for s, t in zip(d.nodes, d.types)
+        ],
+        "edges": [[i, j] for i, j in d.edges],
+    }
 
 
 def _mat_mul(a, b, p):
@@ -156,6 +195,72 @@ def reference_digraph_edges(
             if inter is not None:
                 edges.add((i, index[inter]))
     return tuple(sorted(edges))
+
+
+# ---------------------------------------------------------------------------
+# Reference enumeration: every subgroup joined with every cyclic subgroup until
+# a fixpoint, one coset join each, as the library did before it enumerated up
+# to conjugacy.  Subgroups and maximals in (order, mask) order.
+
+
+def reference_enumerate(g: Group) -> tuple[list[int], list[int]]:
+    full = g.full_mask
+    generator: dict[int, int] = {}
+    for x in range(g.order):
+        generator.setdefault(closure_mask(g, 1 << x), x)
+    cyclics = sorted(generator.items())
+    found: set[int] = {1, full}
+    found.update(generator)
+    maximals: list[int] = []
+    frontier = list(found)
+    while frontier:
+        fresh: list[int] = []
+        for h in frontier:
+            if h == full:
+                continue
+            members = list(bits(h))
+            maximal = True
+            for c, x in cyclics:
+                if c & ~h == 0:
+                    continue
+                j = join_element(g, members, x)
+                if j == full:
+                    continue
+                maximal = False
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+            if maximal:
+                maximals.append(h)
+        frontier = fresh
+    return by_order(found), by_order(maximals)
+
+
+def reference_lattice_dot(g: Group) -> str:
+    """The subgroup-lattice DOT by an all-pairs inclusion scan and a
+    transitive reduction over index lists."""
+    subs = all_subgroups(g)
+    lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
+    for i, s in enumerate(subs):
+        lines.append(f'  n{i} [label="{s.order}"];')
+    n = len(subs)
+    below = [
+        [j for j in range(n) if j != i and subs[j].mask & ~subs[i].mask == 0]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in below[i]:
+            # keep j -> i only when no subgroup sits strictly between
+            if not any(j in below[k] for k in below[i] if k != j):
+                lines.append(f"  n{j} -> n{i};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_perm_table(perms: list[tuple]) -> list[list[int]]:
+    """Cayley table of the permutations by composing tuples: p*q is i -> p[q[i]]."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
 
 
 # ---------------------------------------------------------------------------

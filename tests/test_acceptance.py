@@ -7,7 +7,7 @@ human-readable report when run with ``pytest -s``.
 import pathlib
 import time
 
-from _helpers import matrix_group_2x2
+from _helpers import matrix_group_2x2, union_of_maximals
 from dng.classify import barnes_first_player_wins, classify
 from dng.groups import is_cyclic, make_cyclic, quotient
 from dng.groupspec import build, parse_spec
@@ -15,7 +15,6 @@ from dng.lattice import (
     all_maximals_even,
     largest_odd_normal_in_frattini,
     smallest_intersection_containing,
-    union_of_maximals,
 )
 from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import (

@@ -235,6 +235,16 @@ def test_non_positive_bound_exit_2(capsys, argv):
     assert f"argument {argv[-2]}: expected a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("command", [["analyze", "Z2002"], ["verify"]])
+def test_budget_above_cap_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--budget", str(2**1100)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: expected at most 2**64" in captured.err
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]

@@ -1,6 +1,8 @@
 """The lattice pipeline and the oracle against the reference implementations
 in _helpers."""
 
+from itertools import permutations
+
 import pytest
 
 from _helpers import (
@@ -9,12 +11,15 @@ from _helpers import (
     matrix_group_2x2,
     reference_closure_mask,
     reference_digraph_edges,
+    reference_enumerate,
     reference_intersection_masks,
     reference_is_nilpotent,
     reference_join_mask,
+    reference_lattice_dot,
     reference_largest_odd_normal_in_frattini,
     reference_maximal_masks,
     reference_outcome_check,
+    reference_perm_table,
     reference_real_element_disjunction,
     reference_smallest_intersection,
     reference_subgroup_masks,
@@ -22,12 +27,22 @@ from _helpers import (
 from dng.catalog import catalog_specs
 from dng.classify import is_nilpotent, real_element_disjunction
 from dng.errors import GeneratingSetError
-from dng.groups import bits, closure_mask, element_order, join_mask, make_cyclic
+from dng.groups import (
+    _perm_parity,
+    bits,
+    closure_mask,
+    element_order,
+    join_mask,
+    make_alternating,
+    make_cyclic,
+    make_symmetric,
+)
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
     all_subgroups,
     intersection_subgroups,
     largest_odd_normal_in_frattini,
+    lattice_dot,
     maximal_subgroups,
     smallest_intersection_containing,
 )
@@ -52,6 +67,48 @@ def test_lattice_pipeline_matches_reference(spec):
     assert [m.mask for m in maximal_subgroups(g)] == maximals
     assert [s.mask for s in intersection_subgroups(g).members] == nodes
     assert structure_digraph(g).edges == reference_digraph_edges(g, nodes, maximals)
+
+
+ENUMERATION_SPECS = catalog_specs(36) + [
+    "A4 x A4",
+    "S4 x S3",
+    "Dih(Z2 x Z2 x Z2 x Z2 x Z3)",
+    "Z2 x Z2 x Z2 x Z2 x Z2",
+    "GL(2,3)",
+    "SL(2,3)",
+]
+
+
+def _group(spec):
+    if spec.endswith("L(2,3)"):
+        return matrix_group_2x2(3, det_one=spec == "SL(2,3)", name=spec)
+    return build(parse_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ENUMERATION_SPECS)
+def test_enumeration_matches_coset_fixpoint(spec):
+    g = _group(spec)
+    subgroups, maximals = reference_enumerate(_group(spec))
+    assert [s.mask for s in all_subgroups(g)] == subgroups
+    assert [m.mask for m in maximal_subgroups(g)] == maximals
+
+
+@pytest.mark.parametrize("spec", catalog_specs(24) + ["Z2 x Z2 x Z2 x Z2 x Z2"])
+def test_lattice_dot_matches_reference(spec):
+    g = build(parse_spec(spec))
+    assert lattice_dot(g) == reference_lattice_dot(g)
+
+
+@pytest.mark.parametrize(
+    "make, n", [(make_symmetric, n) for n in range(1, 6)]
+    + [(make_alternating, n) for n in range(3, 6)],
+)
+def test_permutation_table_matches_tuple_composition(make, n):
+    g = make(n)
+    perms = list(permutations(range(n)))
+    if make is make_alternating:
+        perms = [p for p in perms if _perm_parity(p) == 0]
+    assert g.table.tolist() == reference_perm_table(perms)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -154,15 +211,9 @@ def test_oracle_counters_are_pinned(spec, counters):
 PREDICATE_SPECS = catalog_specs(36) + ["A5", "S5", "GL(2,3)", "SL(2,3)"]
 
 
-def _predicate_group(spec):
-    if spec.endswith("L(2,3)"):
-        return matrix_group_2x2(3, det_one=spec == "SL(2,3)", name=spec)
-    return build(parse_spec(spec))
-
-
 @pytest.mark.parametrize("spec", PREDICATE_SPECS)
 def test_predicates_match_lattice_scans(spec):
-    g = _predicate_group(spec)
+    g = _group(spec)
     assert is_nilpotent(g) == reference_is_nilpotent(g)
     assert largest_odd_normal_in_frattini(g).mask == (
         reference_largest_odd_normal_in_frattini(g)

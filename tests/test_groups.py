@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import element_orders
 from dng.errors import BudgetError, GeneratorCapError, NonAbelianError, NotNormalError
 from dng.groups import (
     Group,
@@ -10,7 +11,6 @@ from dng.groups import (
     coset_ids,
     direct_product,
     element_order,
-    element_orders,
     is_abelian,
     is_cyclic,
     make_alternating,

@@ -1,6 +1,6 @@
 import pytest
 
-from _helpers import brute_force_subgroup_masks
+from _helpers import brute_force_subgroup_masks, union_of_maximals
 from dng.errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
 from dng.groups import closure_mask, is_cyclic, make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
@@ -16,7 +16,6 @@ from dng.lattice import (
     lattice_dot,
     maximal_subgroups,
     smallest_intersection_containing,
-    union_of_maximals,
 )
 
 
@@ -41,6 +40,23 @@ def test_lattice_guard(monkeypatch):
     monkeypatch.setattr(lattice, "SUBGROUP_GUARD", 10)
     with pytest.raises(LatticeGuardError):
         all_subgroups(build(parse_spec("Z2 x Z2 x Z2 x Z2")))
+
+
+@pytest.mark.parametrize(
+    "spec, joins, subgroups, maximals",
+    [("S4", 66, 30, 8), ("S5", 373, 156, 22), ("A4 x A4", 695, 216, 12),
+     ("S6", 4074, 1455, 53)],
+)
+def test_enumeration_work_is_pinned(monkeypatch, spec, joins, subgroups, maximals):
+    """Listing whole conjugacy classes and joining once per right coset change
+    how many joins enumeration makes, not what it finds, so the count is pinned."""
+    calls = []
+    join = lattice.join_element
+    monkeypatch.setattr(lattice, "join_element", lambda *a: calls.append(a) or join(*a))
+    g = build(parse_spec(spec))
+    assert len(all_subgroups(g)) == subgroups
+    assert len(maximal_subgroups(g)) == maximals
+    assert len(calls) == joins
 
 
 def test_subgroup_invariants():

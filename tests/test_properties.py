@@ -1,5 +1,7 @@
-"""Hypothesis properties: relabeling invariance and three-way agreement."""
+"""Hypothesis properties: relabeling invariance, three-way agreement and
+subgroup enumeration against the coset-join fixpoint."""
 
+from _helpers import reference_enumerate
 from hypothesis import event, given, reject, settings, strategies as st
 
 from dng.catalog import catalog_specs
@@ -18,7 +20,7 @@ from dng.groupspec import (
     parse_spec,
     spec_order,
 )
-from dng.lattice import largest_odd_normal_in_frattini
+from dng.lattice import all_subgroups, largest_odd_normal_in_frattini, maximal_subgroups
 from dng.oracle import brute_nim
 from dng.solver import emit_dot, game_nim, simplify, solve_types, structure_digraph, type_multiset
 
@@ -87,3 +89,15 @@ def test_classifier_solver_and_oracle_agree(spec):
         assert brute_nim(g, ORACLE_TEST_BUDGET).nim == nim
     except OracleBudgetError:
         event("oracle skipped (budget)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_enumeration_matches_coset_fixpoint(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    subgroups, maximals = reference_enumerate(build(spec))
+    assert [s.mask for s in all_subgroups(g)] == subgroups
+    assert [m.mask for m in maximal_subgroups(g)] == maximals

@@ -1,5 +1,6 @@
 import pytest
 
+from _helpers import digraph_to_json
 from dng.errors import TrivialGroupError
 from dng.groups import make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
@@ -8,7 +9,6 @@ from dng.solver import (
     SPECTRUM,
     StructureDigraph,
     TypeTriple,
-    digraph_to_json,
     emit_dot,
     game_nim,
     simplify,
