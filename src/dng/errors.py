@@ -57,14 +57,15 @@ class SpecValueError(DngError):
 class OracleBudgetError(DngError):
     """The game has more positions (non-generating subsets) than the budget.
 
-    Raised before any search starts, with the predicted count in the message.
+    Raised before any position is valued, with the count in the message.
     """
 
 
 class SolverConsistencyError(DngError):
     """Theory and computation disagree (implementation bug).
 
-    Raised when the mex calculus produces an inconsistent type triple, or when
-    the oracle visits a different number of positions than the class sizes of
-    the intersection poset predict.
+    Raised when the mex calculus produces an inconsistent type triple, when
+    the oracle values a different number of positions than the class sizes of
+    the intersection poset predict, or when a nim-number outgrows the
+    oracle's 64-bit seen-sets.
     """

@@ -98,11 +98,8 @@ class Group:
         to ``ASSOC_CHECK_BOUND``; pass True/False to force either way.
         """
         t = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        n = _validate_table(t, check_associativity)
-        inverses = np.empty(n, dtype=np.int32)
-        for x in range(n):
-            inverses[x] = int(np.flatnonzero(t[x] == 0)[0])
-        return cls(order=n, table=t, inverses=inverses, name=name)
+        inverses = _validate_table(t, check_associativity)
+        return cls(order=len(inverses), table=t, inverses=inverses, name=name)
 
     def to_json_dict(self) -> dict:
         """Versioned debug serialization; not a stability-guaranteed format."""
@@ -114,7 +111,8 @@ class Group:
         }
 
 
-def _validate_table(t: np.ndarray, check_associativity: bool | None) -> int:
+def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarray:
+    """Check that ``t`` is a group table; return the inverse of each element."""
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise ValueError("Cayley table must be a nonempty square matrix")
     n = t.shape[0]
@@ -125,9 +123,10 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> int:
         raise ValueError("some row is not a permutation of 0..n-1")
     if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
         raise ValueError("some column is not a permutation of 0..n-1")
-    for x in range(n):
-        if np.count_nonzero(t[x] == 0) != 1:
-            raise ValueError(f"element {x} has no unique inverse")
+    zeros = t == 0
+    unique = np.count_nonzero(zeros, axis=1) == 1
+    if not unique.all():
+        raise ValueError(f"element {int(np.argmin(unique))} has no unique inverse")
     if check_associativity is None:
         check_associativity = n <= ASSOC_CHECK_BOUND
     if check_associativity:
@@ -135,7 +134,7 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> int:
         for a in range(n):
             if not np.array_equal(t[t[a], :], t[a][t]):
                 raise ValueError(f"associativity fails for a={a}")
-    return n
+    return np.argmax(zeros, axis=1).astype(np.int32)
 
 
 def _check_budget(order: int, budget: int, what: str) -> None:
@@ -182,20 +181,14 @@ def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
         raise ValueError("dicyclic group needs n >= 2")
     _check_budget(4 * n, budget, f"Dic{n}")
     m = 2 * n  # order of <x>
-    size = 4 * n
-    t = np.empty((size, size), dtype=np.int32)
-    # element x^i y^j with id j*m + i
-    for i in range(m):
-        for j in range(2):
-            for k in range(m):
-                for l in range(2):
-                    if j == 0:
-                        ei, ej = (i + k) % m, l
-                    else:
-                        ei, ej = (i - k) % m, 1 + l
-                        if ej == 2:  # y^2 = x^n
-                            ei, ej = (ei + n) % m, 0
-                    t[j * m + i, l * m + k] = ej * m + ei
+    # element x^i y^j with id j*m + i, on axes (j, i) x (l, k):
+    # x^i y^j x^k y^l = x^(i + (-1)^j k) y^(j+l), and y^2 = x^n
+    j = np.arange(2)[:, None, None, None]
+    i = np.arange(m)[None, :, None, None]
+    l = np.arange(2)[None, None, :, None]
+    k = np.arange(m)[None, None, None, :]
+    e = i + (1 - 2 * j) * k + n * j * l
+    t = ((j + l) % 2 * m + e % m).reshape(2 * m, 2 * m)
     return Group.from_table(t, f"Dic{n}", check_associativity=False)
 
 

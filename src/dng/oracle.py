@@ -1,43 +1,58 @@
-"""Brute-force verification by memoized mex recursion over literal positions.
+"""Brute-force verification by one level-by-level sweep over literal positions.
 
-The memo is keyed on the literal selected-set bitmask, never on structure
-classes, so the oracle stays independent of the theory it cross-checks.  A
-move is legal when the enlarged set still lies inside some maximal subgroup,
-which is exactly the non-generating condition for a finite group.  The
-search carries each position's incidence, the bitmask of the maximal
-subgroups that contain it (``lattice.maximal_incidence``): a move ANDs it
-with the new element's incidence, and the legal moves are the union of the
-maximals in it, minus the position.  A move thus costs one big-int AND and
-one memo lookup, and only memo misses recurse.
+The positions of the game are the non-generating sets, which are exactly the
+subsets of the maximal subgroups.  For each maximal subgroup M containing the
+base position p, the sweep keeps one numpy array over the subsets of M minus
+p, indexed by a local bitmask: bit b stands for the b-th element of M \\ p.
+A cell holds the nim-number of its position as a one-hot ``uint64``, so a
+seen-set is the OR of its children's cells and the mex is its lowest clear
+bit.  The arrays are filled one size level at a time, from |M| down to p:
 
-Before a full search the oracle counts the positions it would visit, the
-non-generating subsets, from the intersection poset (``class_sizes``) and
-skips the search when the count exceeds the budget.  The poset decides only
-whether the search runs; the value never depends on it, and a finished
-search must have visited exactly the predicted number of positions.
+1. each cell ORs its children one level up inside its own maximal;
+2. for each pair i < j of maximals, every subset of Mi and Mj ORs its cell
+   in maximal j into its cell in maximal i, so the first maximal containing
+   a position, its owner, has seen every child, in whichever maximal the
+   child lies;
+3. every cell takes the mex of what it has seen;
+4. for each pair i < j in ascending i, every subset of Mi and Mj copies its
+   value from maximal i to maximal j, so each copy of a position holds its
+   owner's value before the next level reads it.
+
+Each subset of size s is the child of exactly s positions, so the number of
+moves (``effort``) is the sum of the sizes of the owned subsets.  Values are
+kept per literal subset and never read the structure classes, so the oracle
+stays independent of the theory it cross-checks.  Before a full
+sweep the oracle counts the positions, the non-generating subsets, from the
+intersection poset (``class_sizes``) and skips the sweep when the count
+exceeds the budget.  The poset decides only whether the sweep runs; the value
+never depends on it, and a finished sweep must own exactly the predicted
+number of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import (
     GeneratingSetError,
     OracleBudgetError,
     SolverConsistencyError,
-    TrivialGroupError,
 )
 from .groups import Group, bits
 from .lattice import class_sizes, maximal_incidence, maximal_subgroups
 
 #: Default cap on the number of positions (non-generating subsets) a full
-#: search may visit, decided before searching; larger games fall back to
+#: sweep may value, decided before sweeping; larger games fall back to
 #: solver-only verification.
 DEFAULT_BUDGET = 2_000_000
 
-#: Largest budget the command line accepts.  A search that runs visits every
-#: subset of some maximal subgroup M, so 2^|M| <= budget and its recursion is
-#: at most log2(budget) + 1 = 65 deep, well under Python's recursion limit.
+#: Largest budget the command line accepts.  The budget also bounds memory:
+#: a sweep that runs allocates one cell per subset of each maximal subgroup M
+#: containing the base p, the sum of 2^|M \ p|, at most (number of maximal
+#: subgroups) x budget cells.
 MAX_BUDGET = 2**64
 
 
@@ -68,45 +83,121 @@ def mex(values) -> int:
     return m
 
 
-class _Search:
-    """Memoized mex recursion that carries each position's incidence.
+_ONE = np.uint64(1)
+_LOW63 = np.uint64(2**63 - 1)
 
-    The union of the maximals in an incidence is cached per incidence, so
-    the cache holds at most one entry per intersection subgroup.
+
+def _mex_bit(seen: np.ndarray, size: int) -> np.ndarray:
+    """One-hot mex of each seen-set: its lowest clear bit.
+
+    A mex of 63 or more has no room to be seen by a parent in 64 bits, so it
+    raises SolverConsistencyError instead of wrapping.
     """
+    if np.any((seen & _LOW63) == _LOW63):
+        raise SolverConsistencyError(
+            f"a position of size {size} has nim-number 63 or more, "
+            "past the 64-bit seen-sets"
+        )
+    return ~seen & (seen + _ONE)
 
-    def __init__(self, g: Group, budget: int):
-        if g.order < 2:
-            raise TrivialGroupError("no avoidance game for the trivial group")
-        self.incidence = maximal_incidence(g)
-        self.covers: dict[int, int] = {}
-        self.budget = budget
-        self.memo: dict[int, int] = {}
-        self.effort = 0
 
-    def nim(self, p: int, inc: int) -> int:
-        """Nim-number of a position missing from the memo, given its incidence."""
-        memo = self.memo
-        if len(memo) >= self.budget:
-            raise OracleBudgetError(f"memo would exceed {self.budget} positions")
-        cover = self.covers.get(inc)
-        if cover is None:
-            cover = self.covers[inc] = self.incidence.join(inc)
-        elem_inc = self.incidence.elements
-        moves = cover & ~p
-        self.effort += moves.bit_count()
-        values = set()
-        while moves:
-            low = moves & -moves
-            moves ^= low
-            child = p | low
-            value = memo.get(child)
-            if value is None:
-                value = self.nim(child, inc & elem_inc[low.bit_length() - 1])
-            values.add(value)
-        result = mex(values)
-        memo[p] = result
-        return result
+def _winner_parities(seen: np.ndarray, size: int) -> np.ndarray:
+    """Bit k set iff some line of play from the position ends at a size of
+    parity k; a position with no children is terminal."""
+    return np.where(seen == 0, _ONE << np.uint64(size % 2), seen)
+
+
+def _by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets 0..2^n-1 sorted by size, and where each size starts."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    order = np.argsort(sizes, kind="stable")
+    return order, np.searchsorted(sizes[order], np.arange(n + 2))
+
+
+def _embed(subsets: np.ndarray, shared: int, elems: list[int]) -> np.ndarray:
+    """Local indices, in a maximal whose free elements are ``elems``, of the
+    ``subsets`` of ``shared`` (bit b for its b-th element)."""
+    out = np.zeros(len(subsets), dtype=np.int64)
+    for b, x in enumerate(bits(shared)):
+        out |= (subsets >> b & 1) << elems.index(x)
+    return out
+
+
+@dataclass
+class _Sweep:
+    elems: list[list[int]]  # per maximal containing the base, M \ base
+    cells: list[np.ndarray]  # per maximal, the folded value of each subset
+    positions: int  # subsets owned by their first maximal
+    effort: int  # sum of the owned subsets' sizes above the base
+
+    @property
+    def base(self) -> int:
+        """The base position's cell."""
+        return int(self.cells[0][0])
+
+
+def _sweep(
+    g: Group, base: int, budget: int, fold: Callable[[np.ndarray, int], np.ndarray]
+) -> _Sweep:
+    """Fold every position at or above ``base``, largest first.
+
+    ``fold(seen, size)`` maps the OR of the children's cells, for the
+    positions of one size, to their cells.  Raises OracleBudgetError, before
+    any cell is folded, when more than ``budget`` positions own a cell.
+    """
+    free = [m & ~base for m in maximal_incidence(g).maximals if base & ~m == 0]
+    elems = [list(bits(f)) for f in free]
+    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n not in levels:
+            levels[n] = _by_level(n)
+        return levels[n]
+
+    owned = [np.ones(1 << len(f), dtype=bool) for f in elems]
+    pairs = []
+    for i in range(len(free)):
+        for j in range(i + 1, len(free)):
+            shared = free[i] & free[j]
+            subsets, starts = by_level(shared.bit_count())
+            ii = _embed(subsets, shared, elems[i])
+            jj = _embed(subsets, shared, elems[j])
+            owned[j][jj] = False
+            pairs.append((i, j, ii, jj, starts))
+    positions = sum(int(np.count_nonzero(o)) for o in owned)
+    if positions > budget:
+        raise OracleBudgetError(
+            f"{positions} positions, over the budget of {budget}"
+        )
+    effort = sum(
+        int(np.bitwise_count(np.flatnonzero(o)).sum(dtype=np.int64)) for o in owned
+    )
+
+    cells = [np.zeros(1 << len(f), dtype=np.uint64) for f in elems]
+    size = base.bit_count()
+    for level in range(max(map(len, elems)), -1, -1):
+        rows = []
+        for f, c in zip(elems, cells):
+            if level <= len(f):
+                order, starts = by_level(len(f))
+                at = order[starts[level] : starts[level + 1]]
+                # a child that adds an element already in the subset is the
+                # subset itself, whose cell is still 0
+                children = at[:, None] | 1 << np.arange(len(f), dtype=np.int64)
+                c[at] = np.bitwise_or.reduce(c[children], axis=1)
+                rows.append((c, at))
+        live = []  # the pairs whose shared subsets include this level
+        for i, j, ii, jj, starts in pairs:
+            if level < len(starts) - 1:
+                s = slice(starts[level], starts[level + 1])
+                live.append((cells[i], cells[j], ii[s], jj[s]))
+        for ci, cj, ii, jj in live:  # owners see the children in every maximal
+            ci[ii] |= cj[jj]
+        for c, at in rows:
+            c[at] = fold(c[at], size + level)
+        for ci, cj, ii, jj in live:  # ascending i: each source is final
+            cj[jj] = ci[ii]
+    return _Sweep(elems=elems, cells=cells, positions=positions, effort=effort)
 
 
 def _preflight(g: Group, budget: int) -> int:
@@ -114,7 +205,6 @@ def _preflight(g: Group, budget: int) -> int:
 
     The lower bound 2^max|M| needs only the maximal subgroups, so a game that
     is plainly too big is skipped without building the intersection poset.
-    Passing the preflight also bounds the recursion depth by log2(budget) + 1.
     """
     top = max(m.order for m in maximal_subgroups(g))
     if 1 << top > budget:
@@ -129,58 +219,61 @@ def _preflight(g: Group, budget: int) -> int:
     return predicted
 
 
-def _check_count(visited: int, predicted: int) -> None:
-    if visited != predicted:
-        raise SolverConsistencyError(
-            f"search visited {visited} positions, class sizes predict {predicted}"
-        )
-
-
-def _full_search(g: Group, budget: int) -> _Search:
+def _full_sweep(g: Group, budget: int, fold) -> _Sweep:
     predicted = _preflight(g, budget)
-    search = _Search(g, budget)
-    search.nim(0, search.incidence.everything)
-    _check_count(len(search.memo), predicted)
-    return search
+    sweep = _sweep(g, 0, budget, fold)
+    if sweep.positions != predicted:
+        raise SolverConsistencyError(
+            f"search visited {sweep.positions} positions, "
+            f"class sizes predict {predicted}"
+        )
+    return sweep
 
 
 def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Nim-number of the starting position by depth-first mex recursion."""
-    search = _full_search(g, budget)
+    """Nim-number of the starting position, with the number of positions and
+    the number of moves between them (``effort``)."""
+    sweep = _full_sweep(g, budget, _mex_bit)
     return OracleResult(
-        nim=search.memo[0], memo_size=len(search.memo), effort=search.effort
+        nim=sweep.base.bit_length() - 1,
+        memo_size=sweep.positions,
+        effort=sweep.effort,
     )
 
 
 def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Nim-numbers of every position, keyed by bitmask.
-
-    All non-generating subsets are reachable from the empty set by adding
-    elements one at a time, so the memo after solving the start is complete.
-    """
-    return _full_search(g, budget).memo
+    """Nim-numbers of every position, keyed by bitmask."""
+    sweep = _full_sweep(g, budget, _mex_bit)
+    table: dict[int, int] = {}
+    for elems, cells in zip(sweep.elems, sweep.cells):
+        masks = [0]  # masks[s] is the position at local index s
+        for x in elems:
+            masks += [m | 1 << x for m in masks]
+        nims = np.bitwise_count(cells - _ONE)  # 1 << v minus 1 has v bits
+        table.update(zip(masks, nims.tolist()))
+    return table
 
 
 def brute_nim_position(g: Group, p, budget: int = DEFAULT_BUDGET) -> int:
     """Nim-number of an arbitrary position (bitmask or Position).
 
-    Raises OracleBudgetError before searching when some maximal subgroup M
+    Raises OracleBudgetError before sweeping when some maximal subgroup M
     containing p has 2^(|M| - |p|) > ``budget``: every subset of M that
-    contains p is a position below p.  Passing this bounds the recursion
-    depth by log2(budget).
+    contains p is a position below p.  The sweep itself raises it when the
+    positions below p, counted exactly, exceed ``budget``.
     """
     mask = p.chosen if isinstance(p, Position) else p
-    search = _Search(g, budget)
-    inc = search.incidence.of(mask)
+    incidence = maximal_incidence(g)
+    inc = incidence.of(mask)
     if not inc:
         raise GeneratingSetError("the set generates the whole group")
-    top = max(search.incidence.maximals[i].bit_count() for i in bits(inc))
+    top = max(incidence.maximals[i].bit_count() for i in bits(inc))
     if 1 << (top - mask.bit_count()) > budget:
         raise OracleBudgetError(
             f"at least 2^{top - mask.bit_count()} positions below this one, "
             f"over the budget of {budget}"
         )
-    return search.nim(mask, inc)
+    return _sweep(g, mask, budget, _mex_bit).base.bit_length() - 1
 
 
 def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
@@ -190,35 +283,7 @@ def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
     at a terminal position of size k awards the win to the first player when
     k is odd and to the second player when k is even.
     """
-    incidence = maximal_incidence(g)
-    parities = {m.bit_count() % 2 for m in incidence.maximals}
+    parities = {m.order % 2 for m in maximal_subgroups(g)}
     if len(parities) != 1:
         raise ValueError("maximal subgroups have mixed parities")
-    predicted = _preflight(g, budget)
-    elem_inc = incidence.elements
-    covers: dict[int, int] = {}
-    memo: dict[int, frozenset[int]] = {}
-
-    def winners(p: int, inc: int) -> frozenset[int]:
-        hit = memo.get(p)
-        if hit is not None:
-            return hit
-        if len(memo) >= budget:
-            raise OracleBudgetError(f"memo would exceed {budget} positions")
-        cover = covers.get(inc)
-        if cover is None:
-            cover = covers[inc] = incidence.join(inc)
-        moves = cover & ~p
-        if moves == 0:
-            result = frozenset({p.bit_count() % 2})
-        else:
-            acc: set[int] = set()
-            for x in bits(moves):
-                acc |= winners(p | 1 << x, inc & elem_inc[x])
-            result = frozenset(acc)
-        memo[p] = result
-        return result
-
-    outcome = len(winners(0, incidence.everything)) == 1
-    _check_count(len(memo), predicted)
-    return outcome
+    return _full_sweep(g, budget, _winner_parities).base.bit_count() == 1

@@ -257,6 +257,29 @@ def reference_lattice_dot(g: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_dicyclic_table(n: int) -> list[list[int]]:
+    """Cayley table of Dic n, element x^i y^j at id j*2n + i, entry by entry."""
+    m = 2 * n
+    t = [[0] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(2):
+            for k in range(m):
+                for l in range(2):
+                    if j == 0:
+                        ei, ej = (i + k) % m, l
+                    else:
+                        ei, ej = (i - k) % m, 1 + l
+                        if ej == 2:  # y^2 = x^n
+                            ei, ej = (ei + n) % m, 0
+                    t[j * m + i][l * m + k] = ej * m + ei
+    return t
+
+
+def reference_inverses(table: np.ndarray) -> list[int]:
+    """The inverse of each element, by finding the identity in its row."""
+    return [int(np.flatnonzero(row == 0)[0]) for row in table]
+
+
 def reference_perm_table(perms: list[tuple]) -> list[list[int]]:
     """Cayley table of the permutations by composing tuples: p*q is i -> p[q[i]]."""
     index = {p: i for i, p in enumerate(perms)}
@@ -264,9 +287,10 @@ def reference_perm_table(perms: list[tuple]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the game-tree search that scans every maximal subgroup at
-# every position for its legal moves, as the library did before its
-# incidence-carrying search.  Same literal memo and effort count; no budget.
+# Reference oracle: the memoised game-tree search that scans every maximal
+# subgroup at every position for its legal moves, as the library did before
+# its incidence index and its level-by-level sweep.  Same literal positions
+# and effort count; no budget.
 
 
 class ReferenceSearch:

@@ -10,9 +10,11 @@ from _helpers import (
     by_order,
     matrix_group_2x2,
     reference_closure_mask,
+    reference_dicyclic_table,
     reference_digraph_edges,
     reference_enumerate,
     reference_intersection_masks,
+    reference_inverses,
     reference_is_nilpotent,
     reference_join_mask,
     reference_lattice_dot,
@@ -35,6 +37,7 @@ from dng.groups import (
     join_mask,
     make_alternating,
     make_cyclic,
+    make_dicyclic,
     make_symmetric,
 )
 from dng.groupspec import build, parse_spec
@@ -111,6 +114,17 @@ def test_permutation_table_matches_tuple_composition(make, n):
     assert g.table.tolist() == reference_perm_table(perms)
 
 
+@pytest.mark.parametrize("n", range(2, 25))
+def test_dicyclic_table_matches_reference(n):
+    assert make_dicyclic(n).table.tolist() == reference_dicyclic_table(n)
+
+
+def test_inverses_match_reference():
+    for spec in catalog_specs(96):
+        g = build(parse_spec(spec))
+        assert g.inverses.tolist() == reference_inverses(g.table), spec
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_closure_of_pairs_matches_reference(spec):
     g = build(parse_spec(spec))
@@ -143,9 +157,14 @@ def test_closure_of_nothing_is_trivial():
 
 
 # ---------------------------------------------------------------------------
-# The incidence-carrying oracle against the per-maximal scan it replaces.
+# The oracle's sweep against the per-maximal game-tree search.
 
-ORACLE_SPECS = catalog_specs(24) + ["A5"]
+ORACLE_SPECS = catalog_specs(24) + [
+    "A5",
+    "Z65",  # order above 64
+    "Z3 x Z3 x Z3",
+    "Z2 x Z2 x Z2 x Z2",
+]
 
 
 def _maximal_masks(g):
@@ -157,11 +176,14 @@ def test_oracle_matches_reference_search(spec):
     g = build(parse_spec(spec))
     ref = ReferenceSearch(_maximal_masks(g))
     ref.nim(0)
-    assert brute_nim_table(g) == ref.memo
+    table = brute_nim_table(g)
+    assert table == ref.memo
     res = brute_nim(g)
     assert (res.nim, res.memo_size, res.effort) == (
         ref.memo[0], len(ref.memo), ref.effort
     )
+    # a position of size s is the child of exactly s positions
+    assert res.effort == sum(p.bit_count() for p in table)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -197,7 +219,12 @@ def test_smallest_intersection_matches_reference(spec):
 
 
 @pytest.mark.parametrize(
-    "spec, counters", [("A5", (0, 26984, 155100)), ("Z30", (3, 33814, 250977))]
+    "spec, counters",
+    [
+        ("A5", (0, 26984, 155100)),
+        ("Z30", (3, 33814, 250977)),
+        ("S3 x S3", (0, 808856, 7217226)),
+    ],
 )
 def test_oracle_counters_are_pinned(spec, counters):
     res = brute_nim(build(parse_spec(spec)))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dng import oracle
@@ -30,6 +31,17 @@ from dng.oracle import (
 )
 def test_mex(values, expected):
     assert mex(values) == expected
+
+
+def test_mex_bit_is_the_lowest_clear_bit():
+    seen = np.array([0, 0b1011, 2**62 - 1], dtype=np.uint64)  # mex 0, 2, 62
+    assert oracle._mex_bit(seen, 0).tolist() == [1, 0b100, 2**62]
+
+
+@pytest.mark.parametrize("seen", [2**63 - 1, 2**64 - 1])  # mex 63, 64
+def test_mex_bit_raises_instead_of_wrapping(seen):
+    with pytest.raises(SolverConsistencyError, match="63 or more"):
+        oracle._mex_bit(np.array([0, seen], dtype=np.uint64), 5)
 
 
 def test_brute_z2():
@@ -92,7 +104,7 @@ def _refuse(*args):
 )
 def test_skip_happens_before_search(monkeypatch, spec, budget):
     g = build(parse_spec(spec))
-    monkeypatch.setattr(oracle, "_Search", _refuse)
+    monkeypatch.setattr(oracle, "_sweep", _refuse)
     with pytest.raises(OracleBudgetError):
         brute_nim(g, budget)
 
@@ -127,9 +139,9 @@ def test_full_odd_maximal_is_terminal():
 
 
 def test_position_skips_before_a_deep_search(monkeypatch):
-    # the DFS would descend 1001 levels into the maximal subgroup of order 1001
+    # a sweep would allocate 2^1001 cells for the maximal subgroup of order 1001
     z2002 = make_cyclic(2002, budget=3000)
-    monkeypatch.setattr(oracle._Search, "nim", _refuse)
+    monkeypatch.setattr(oracle, "_sweep", _refuse)
     with pytest.raises(OracleBudgetError, match=r"at least 2\^1001 positions"):
         brute_nim_position(z2002, 0, budget=5000)
 
@@ -139,6 +151,10 @@ def test_position_budget_counts_positions_below():
     assert brute_nim_position(z8, 1, budget=8) == 1  # {e}: three moves left
     with pytest.raises(OracleBudgetError):
         brute_nim_position(z8, 1, budget=7)
+    s3 = make_symmetric(3)  # 2^3 cells fit in 13, but the 14 positions do not
+    assert brute_nim_position(s3, 0, budget=14) == 3
+    with pytest.raises(OracleBudgetError, match="14 positions"):
+        brute_nim_position(s3, 0, budget=13)
 
 
 def test_position_rejects_generating_set():

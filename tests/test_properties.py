@@ -1,7 +1,8 @@
-"""Hypothesis properties: relabeling invariance, three-way agreement and
-subgroup enumeration against the coset-join fixpoint."""
+"""Hypothesis properties: relabeling invariance, three-way agreement,
+subgroup enumeration against the coset-join fixpoint and the oracle's sweep
+against the game-tree search."""
 
-from _helpers import reference_enumerate
+from _helpers import ReferenceSearch, reference_enumerate
 from hypothesis import event, given, reject, settings, strategies as st
 
 from dng.catalog import catalog_specs
@@ -21,7 +22,7 @@ from dng.groupspec import (
     spec_order,
 )
 from dng.lattice import all_subgroups, largest_odd_normal_in_frattini, maximal_subgroups
-from dng.oracle import brute_nim
+from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import emit_dot, game_nim, simplify, solve_types, structure_digraph, type_multiset
 
 #: Oracle budget for random specs: larger games are skipped, not failed.
@@ -101,3 +102,20 @@ def test_enumeration_matches_coset_fixpoint(spec):
     subgroups, maximals = reference_enumerate(build(spec))
     assert [s.mask for s in all_subgroups(g)] == subgroups
     assert [m.mask for m in maximal_subgroups(g)] == maximals
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_oracle_table_matches_reference_search(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    try:
+        table = brute_nim_table(g, ORACLE_TEST_BUDGET)
+    except OracleBudgetError:
+        event("oracle skipped (budget)")
+        return
+    ref = ReferenceSearch([m.mask for m in maximal_subgroups(g)])
+    ref.nim(0)
+    assert table == ref.memo
