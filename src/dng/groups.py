@@ -200,13 +200,14 @@ def _perm_parity(p: tuple) -> int:
 def _perm_group(perms: list[tuple], name: str) -> Group:
     """Group of the given permutations of 0..n-1; product p*q maps i to p[q[i]]."""
     p = np.array(perms, dtype=np.int64)
-    m, n = p.shape
-    products = np.take_along_axis(p[:, None, :], np.broadcast_to(p, (m, m, n)), axis=2)
+    n = p.shape[1]
     # a permutation's code: its images as the digits of a base-n numeral
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = p @ weights
+    weights = (n ** np.arange(n - 1, -1, -1, dtype=np.int64)).tolist()
+    codes = sum(p[:, i] * w for i, w in enumerate(weights))
+    # p[a]*p[b] maps i to p[a, p[b, i]]
+    products = sum(p[:, p[:, i]] * w for i, w in enumerate(weights))
     rank = np.argsort(codes)
-    t = rank[np.searchsorted(codes[rank], products @ weights)]
+    t = rank[np.searchsorted(codes[rank], products)]
     return Group.from_table(t, name, check_associativity=False)
 
 

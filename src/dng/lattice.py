@@ -15,9 +15,13 @@ maximal subgroups are the classes of the maximal representatives.  The
 intersection poset folds the maximal subgroups one at a time into the set of
 intersections found so far.
 
-Which maximal subgroups contain a set is answered by one index
-(``maximal_incidence``): per element, the bitmask of the maximal subgroups
-that contain it.  A set's incidence is the AND over its elements.
+Which maximal subgroups contain a set is answered by its incidence, the
+bitmask of those maximal subgroups.  For one set at a time
+(``maximal_incidence``) it is the AND of its elements' incidences, as
+Python ints.  For many sets at once (``inclusion``) the sets and the
+containers are rows of packed uint64 words (``packed``), and a set lies in a
+container iff ``set & ~container`` is 0 in every word; the rows are tested a
+bounded chunk at a time.
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -27,12 +31,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
 from .groups import Group, bits, closure_mask, element_order, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
+
+#: Cells per numpy temporary in the packed-word passes (``inclusion`` and the
+#: structure digraph's edges), which keeps each temporary near 256 KB.
+CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True, order=True)
@@ -103,15 +114,19 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
             generator.setdefault(c, x)
     seeds = sorted(generator.items())
     # conjugation by a generating set of g, taken greedily from the seeds:
-    # conj[h] is x*h*x^-1
+    # conj[h] is x*h*x^-1.  A central x fixes every subgroup, so its
+    # conjugation is left out.
     conjugations: list[list[int]] = []
+    identity = list(range(g.order))
     span = 1
     for c, x in seeds:
         if span == full:
             break
         if c & ~span:
             span = join_element(g, list(bits(span)), x)
-            conjugations.append(g.table[:, g.inverses[x]][g.table[x]].tolist())
+            conj = g.table[:, g.inverses[x]][g.table[x]].tolist()
+            if conj != identity:
+                conjugations.append(conj)
 
     def conjugacy_class(h: int) -> list[int]:
         orbit = [h]
@@ -209,6 +224,30 @@ class MaximalIncidence:
         for i in bits(inc):
             out |= self.maximals[i]
         return out
+
+
+def packed(masks: Sequence[int], nbits: int) -> np.ndarray:
+    """Bitmasks of at most ``nbits`` bits as rows of uint64 words: bit b of a
+    mask is bit b % 64 of word b // 64."""
+    width = max(1, -(-nbits // 64))
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width).astype(np.uint64)
+
+
+def inclusion(sets: np.ndarray, containers: np.ndarray) -> np.ndarray:
+    """Which containers hold each set, as ``packed`` rows of bits.
+
+    ``sets`` and ``containers`` are ``packed`` rows of one width.  Bit c of
+    row s of the result is set iff ``sets[s]`` lies inside ``containers[c]``.
+    """
+    k = len(containers)
+    out = np.zeros((len(sets), 8 * max(1, -(-k // 64))), dtype=np.uint8)
+    outside = ~containers
+    step = max(1, CHUNK_CELLS // max(1, outside.size))
+    for lo in range(0, len(sets), step):
+        inside = ~np.any(sets[lo : lo + step, None, :] & outside, axis=2)
+        out[lo : lo + step, : -(-k // 8)] = np.packbits(inside, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64)
 
 
 @per_group
@@ -319,11 +358,14 @@ def lattice_dot(g: Group) -> str:
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
         lines.append(f'  n{i} [label="{s.order}"];')
-    # bit j of below[i]: subs[j] is a proper subgroup of subs[i]; sorted by
-    # order, every proper subgroup of subs[i] comes before it
-    below: list[int] = []
-    for i, s in enumerate(subs):
-        below.append(mask_of(j for j in range(i) if subs[j].mask & ~s.mask == 0))
+    # bit j of below[i]: subs[j] is a proper subgroup of subs[i].  subs[j]
+    # lies inside subs[i] iff the complement of subs[i] lies inside the
+    # complement of subs[j].
+    outside = ~packed([s.mask for s in subs], g.order)
+    rows = inclusion(outside, outside).astype("<u8")
+    below = [
+        int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(rows)
+    ]
     for i, under in enumerate(below):
         # keep j -> i only when no subgroup sits strictly between
         between = 0

@@ -49,11 +49,19 @@ from .lattice import class_sizes, maximal_incidence, maximal_subgroups
 #: solver-only verification.
 DEFAULT_BUDGET = 2_000_000
 
-#: Largest budget the command line accepts.  The budget also bounds memory:
-#: a sweep that runs allocates one cell per subset of each maximal subgroup M
-#: containing the base p, the sum of 2^|M \ p|, at most (number of maximal
-#: subgroups) x budget cells.
+#: Largest budget the command line accepts.  The budget counts positions,
+#: not memory: a sweep allocates one cell per subset of each maximal
+#: subgroup M containing the base p, the sum of 2^|M \ p|, which
+#: ``MAX_CELLS`` bounds.
 MAX_BUDGET = 2**64
+
+#: Most cells a sweep may allocate, counted before the first allocation;
+#: above it the sweep raises OracleBudgetError whatever the budget.  Sweeps
+#: of ``Z40`` and ``Z44`` peak at 80 to 90 bytes per cell, so this bounds a
+#: sweep near 350 MB.  Games within the default budget need at most half of
+#: it: on the catalog up to order 96 the most is ``Z40``, 1,048,832 cells,
+#: and ``Z2^5`` needs 2,031,616.
+MAX_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,16 @@ def _sweep(
 
     ``fold(seen, size)`` maps the OR of the children's cells, for the
     positions of one size, to their cells.  Raises OracleBudgetError, before
-    any cell is folded, when more than ``budget`` positions own a cell.
+    any cell is folded, when more than ``budget`` positions own a cell, and
+    before any array is allocated when the sweep needs more than
+    ``MAX_CELLS`` cells.
     """
     free = [m & ~base for m in maximal_incidence(g).maximals if base & ~m == 0]
+    count = sum(1 << f.bit_count() for f in free)
+    if count > MAX_CELLS:
+        raise OracleBudgetError(
+            f"{count} cells to sweep, over the cap of {MAX_CELLS}"
+        )
     elems = [list(bits(f)) for f in free]
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -14,6 +14,15 @@ positions).  Types are solved bottom-up:
 
 ``comp(t, q)`` is the nim-number of parity-``q`` positions of a class of
 type ``t``.  A consistency identity cross-checks every node.
+
+The digraph is built in one numpy pass over word-packed incidences
+(``lattice.inclusion``): the incidences of the nodes and of the elements
+are rows of uint64 words, and the targets of a chunk of nodes are the
+distinct nonzero ANDs of each node's row with every element's row, looked
+up by a one-word key among the nodes' keys.  Types are solved through a
+memo on option sets: each type gets a one-hot id, a node's options are the
+OR of its successors' ids, and each distinct (parity, options) pair is
+solved once.
 """
 
 from __future__ import annotations
@@ -22,9 +31,18 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Union
 
+import numpy as np
+
 from .errors import SolverConsistencyError, TrivialGroupError
 from .groups import Group, bits
-from .lattice import Subgroup, intersection_subgroups, maximal_incidence
+from .lattice import (
+    CHUNK_CELLS,
+    Subgroup,
+    inclusion,
+    intersection_subgroups,
+    maximal_subgroups,
+    packed,
+)
 from .oracle import mex
 
 
@@ -83,6 +101,14 @@ class SimplifiedDiagram:
     edges: tuple[tuple[int, int], ...]
 
 
+def _keys(inc: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of packed incidence words: the sum, wrapping,
+    of each word times an odd multiplier, the first of which is 1, so a
+    one-word incidence is its own key."""
+    fold = [1] + [(0x9E3779B97F4A7C15 * w | 1) % 2**64 for w in range(1, inc.shape[-1])]
+    return (inc * np.array(fold, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+
+
 def structure_digraph(g: Group) -> StructureDigraph:
     """Build the (unsolved) structure digraph of the avoidance game on g.
 
@@ -90,51 +116,95 @@ def structure_digraph(g: Group) -> StructureDigraph:
     subgroups that contain them.  An intersection subgroup is the
     intersection of the maximals in its incidence, so its incidence keys
     it.  Adding x to a set ANDs its incidence with x's own: 0 means the set
-    now generates g, anything else names the smallest intersection subgroup
-    that contains the enlarged set.
+    now generates g, the set's own incidence means x was already in it, and
+    anything else names the smallest intersection subgroup that contains
+    the enlarged set.  Each target is checked word for word against the
+    node its key names; a miss raises SolverConsistencyError.
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
     nodes = intersection_subgroups(g).members
-    incidence = maximal_incidence(g)
-    elem_inc = incidence.elements
-    node_inc = [incidence.of(node.mask) for node in nodes]
-    index = {inc: i for i, inc in enumerate(node_inc)}
-    edges: set[tuple[int, int]] = set()
-    for i, (node, inc) in enumerate(zip(nodes, node_inc)):
-        for x in bits(g.full_mask & ~node.mask):
-            target = inc & elem_inc[x]
-            if target:
-                edges.add((i, index[target]))
-    return StructureDigraph(nodes=nodes, edges=tuple(sorted(edges)))
+    maximals = packed([m.mask for m in maximal_subgroups(g)], g.order)
+    node_inc = inclusion(packed([s.mask for s in nodes], g.order), maximals)
+    elem_inc = inclusion(packed([1 << x for x in range(g.order)], g.order), maximals)
+    node_keys = _keys(node_inc)
+    by_key = np.argsort(node_keys)
+    sorted_keys = node_keys[by_key]
+    if sorted_keys[0] == 0 or np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise SolverConsistencyError(
+            f"the incidence keys of the {len(nodes)} intersection subgroups collide"
+        )
+    # one int object per node, shared by its edges: tolist makes one per entry
+    index = list(range(len(nodes)))
+    edges: list[tuple[int, int]] = []
+    step = max(1, CHUNK_CELLS // elem_inc.size)
+    for lo in range(0, len(nodes), step):
+        inc = node_inc[lo : lo + step, None, :] & elem_inc  # (node, element, word)
+        keys = _keys(inc)
+        at = np.argsort(keys, axis=1)
+        keys = np.take_along_axis(keys, at, axis=1)
+        # the first of each run of equal keys, neither 0 nor the node's own
+        new = (keys != 0) & (keys != node_keys[lo : lo + step, None])
+        new[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+        rows, cols = np.nonzero(new)
+        hit = np.searchsorted(sorted_keys, keys[rows, cols])
+        j = by_key[np.minimum(hit, len(nodes) - 1)]
+        if not np.array_equal(node_inc[j], inc[rows, at[rows, cols]]):
+            raise SolverConsistencyError(
+                "a move reaches a set whose smallest intersection subgroup "
+                "is not a node"
+            )
+        order = np.lexsort((j, rows))  # chunks come in ascending node order
+        edges += zip(
+            map(index.__getitem__, (rows[order] + lo).tolist()),
+            map(index.__getitem__, j[order].tolist()),
+        )
+    return StructureDigraph(nodes=nodes, edges=tuple(edges))
 
 
 def solve_types(d: StructureDigraph) -> StructureDigraph:
-    """Solve all type triples in reverse topological order."""
+    """Solve all type triples in reverse topological order.
+
+    Edges point to later nodes (nodes are sorted by order and every edge
+    strictly enlarges the subgroup), so descending index is a reverse
+    topological order.  Each solved node gets the one-hot id of its type,
+    the OR of its successors' ids is its option set, and each distinct
+    (parity, option set) is solved once.
+    """
     n = len(d.nodes)
     succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in d.edges:
+        if j <= i:
+            raise ValueError(f"edge ({i}, {j}) does not point to a later node")
         succ[i].append(j)
-    types: list[TypeTriple | None] = [None] * n
-    # edges point to strictly larger subgroups, so descending order is a
-    # reverse topological order
-    for i in sorted(range(n), key=lambda k: -d.nodes[k].order):
-        opts = {types[j] for j in succ[i]}
+    kinds: list[TypeTriple] = []  # the type whose id is 1 << b is kinds[b]
+    solved: dict[tuple[int, int], int] = {}  # (parity, options) -> id
+    ids = [0] * n
+    for i in range(n - 1, -1, -1):
+        options = 0
+        for j in succ[i]:
+            options |= ids[j]
         p = d.nodes[i].order % 2
-        nim_same = mex({t.component(1 - p) for t in opts})
-        nim_other = mex({nim_same} | {t.component(p) for t in opts})
-        check = mex({nim_other} | {t.component(1 - p) for t in opts})
-        if check != nim_same:
-            raise SolverConsistencyError(
-                f"node of order {d.nodes[i].order}: parity {p}, "
-                f"options {sorted(map(str, opts))} give "
-                f"nim_same={nim_same}, nim_other={nim_other}, recheck={check}"
-            )
-        if p:
-            types[i] = TypeTriple(1, nim_other, nim_same)
-        else:
-            types[i] = TypeTriple(0, nim_same, nim_other)
-    return replace(d, types=tuple(types))
+        if (p, options) not in solved:
+            opts = {kinds[b] for b in bits(options)}
+            nim_same = mex({t.component(1 - p) for t in opts})
+            nim_other = mex({nim_same} | {t.component(p) for t in opts})
+            check = mex({nim_other} | {t.component(1 - p) for t in opts})
+            if check != nim_same:
+                raise SolverConsistencyError(
+                    f"node of order {d.nodes[i].order}: parity {p}, "
+                    f"options {sorted(map(str, opts))} give "
+                    f"nim_same={nim_same}, nim_other={nim_other}, recheck={check}"
+                )
+            if p:
+                t = TypeTriple(1, nim_other, nim_same)
+            else:
+                t = TypeTriple(0, nim_same, nim_other)
+            if t not in kinds:
+                kinds.append(t)
+            solved[p, options] = 1 << kinds.index(t)
+        ids[i] = solved[p, options]
+    return replace(d, types=tuple(kinds[k.bit_length() - 1] for k in ids))
 
 
 def game_nim(g: Group) -> int:

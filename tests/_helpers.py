@@ -1,5 +1,6 @@
 """Shared test utilities: independent brute-force oracles and extra groups."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -13,8 +14,16 @@ from dng.groups import (
     join_element,
     mask_of,
 )
-from dng.lattice import all_subgroups, frattini, maximal_subgroups
-from dng.solver import StructureDigraph
+from dng.errors import SolverConsistencyError
+from dng.lattice import (
+    all_subgroups,
+    frattini,
+    intersection_subgroups,
+    maximal_incidence,
+    maximal_subgroups,
+)
+from dng.oracle import mex
+from dng.solver import StructureDigraph, TypeTriple
 
 
 def brute_force_subgroup_masks(g: Group) -> set[int]:
@@ -407,3 +416,51 @@ def reference_real_element_disjunction(g: Group, x: int) -> bool:
                 if closure_mask(g, 1 << x | 1 << u) == full:
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference structure solver: the digraph by one big-int AND per (node,
+# element outside it), and one mex solve per node, as the library did before
+# its packed-word pass and its option-set memo.
+
+
+def reference_structure_digraph(g: Group) -> StructureDigraph:
+    nodes = intersection_subgroups(g).members
+    incidence = maximal_incidence(g)
+    elem_inc = incidence.elements
+    node_inc = [incidence.of(node.mask) for node in nodes]
+    index = {inc: i for i, inc in enumerate(node_inc)}
+    edges: set[tuple[int, int]] = set()
+    for i, (node, inc) in enumerate(zip(nodes, node_inc)):
+        for x in bits(g.full_mask & ~node.mask):
+            target = inc & elem_inc[x]
+            if target:
+                edges.add((i, index[target]))
+    return StructureDigraph(nodes=nodes, edges=tuple(sorted(edges)))
+
+
+def reference_solve_types(d: StructureDigraph) -> StructureDigraph:
+    n = len(d.nodes)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in d.edges:
+        succ[i].append(j)
+    types: list[TypeTriple | None] = [None] * n
+    # edges point to strictly larger subgroups, so descending order is a
+    # reverse topological order
+    for i in sorted(range(n), key=lambda k: -d.nodes[k].order):
+        opts = {types[j] for j in succ[i]}
+        p = d.nodes[i].order % 2
+        nim_same = mex({t.component(1 - p) for t in opts})
+        nim_other = mex({nim_same} | {t.component(p) for t in opts})
+        check = mex({nim_other} | {t.component(1 - p) for t in opts})
+        if check != nim_same:
+            raise SolverConsistencyError(
+                f"node of order {d.nodes[i].order}: parity {p}, "
+                f"options {sorted(map(str, opts))} give "
+                f"nim_same={nim_same}, nim_other={nim_other}, recheck={check}"
+            )
+        if p:
+            types[i] = TypeTriple(1, nim_other, nim_same)
+        else:
+            types[i] = TypeTriple(0, nim_same, nim_other)
+    return replace(d, types=tuple(types))

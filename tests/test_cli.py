@@ -245,6 +245,12 @@ def test_budget_above_cap_exit_2(capsys, command):
     assert "argument --budget: expected at most 2**64" in captured.err
 
 
+def test_largest_budget_skips_before_allocating(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "S5", "--budget", "18446744073709551616")
+    assert code == 0
+    assert "oracle: skipped(budget)\n" in out
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]

@@ -24,6 +24,8 @@ from _helpers import (
     reference_perm_table,
     reference_real_element_disjunction,
     reference_smallest_intersection,
+    reference_solve_types,
+    reference_structure_digraph,
     reference_subgroup_masks,
 )
 from dng.catalog import catalog_specs
@@ -55,7 +57,7 @@ from dng.oracle import (
     brute_nim_table,
     strategy_free_outcome_check,
 )
-from dng.solver import structure_digraph
+from dng.solver import solve_types, structure_digraph
 
 SPECS = catalog_specs(36) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"]
 
@@ -70,6 +72,29 @@ def test_lattice_pipeline_matches_reference(spec):
     assert [m.mask for m in maximal_subgroups(g)] == maximals
     assert [s.mask for s in intersection_subgroups(g).members] == nodes
     assert structure_digraph(g).edges == reference_digraph_edges(g, nodes, maximals)
+
+
+#: Z2^6 x Z3 and D67 sit on both sides of the one-word incidence: 64 and 68
+#: maximal subgroups.
+SOLVER_SPECS = catalog_specs(96) + ["S6", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3", "D67"]
+
+
+@pytest.mark.parametrize("spec", SOLVER_SPECS)
+def test_structure_solver_matches_reference(spec):
+    g = build(parse_spec(spec))
+    d = structure_digraph(g)
+    ref = reference_structure_digraph(g)
+    assert d.nodes == ref.nodes
+    assert d.edges == ref.edges
+    assert all(type(i) is int and type(j) is int for i, j in d.edges)
+    assert solve_types(d).types == reference_solve_types(ref).types
+
+
+@pytest.mark.parametrize(
+    "spec, count", [("Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3", 64), ("D67", 68)]
+)
+def test_incidence_width_boundary(spec, count):
+    assert len(maximal_subgroups(build(parse_spec(spec)))) == count
 
 
 ENUMERATION_SPECS = catalog_specs(36) + [
@@ -96,7 +121,7 @@ def test_enumeration_matches_coset_fixpoint(spec):
     assert [m.mask for m in maximal_subgroups(g)] == maximals
 
 
-@pytest.mark.parametrize("spec", catalog_specs(24) + ["Z2 x Z2 x Z2 x Z2 x Z2"])
+@pytest.mark.parametrize("spec", catalog_specs(24) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"])
 def test_lattice_dot_matches_reference(spec):
     g = build(parse_spec(spec))
     assert lattice_dot(g) == reference_lattice_dot(g)

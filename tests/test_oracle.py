@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dng import oracle
+from dng.catalog import catalog_specs
 from dng.errors import (
     GeneratingSetError,
     OracleBudgetError,
@@ -121,6 +122,24 @@ def test_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(oracle, "class_sizes", lambda g: (13,))
     with pytest.raises(SolverConsistencyError, match="14.*13"):
         brute_nim(make_symmetric(3))
+
+
+def test_cell_cap_skips_before_allocating(monkeypatch):
+    g = build(parse_spec("S5"))  # 1.15e18 positions pass a budget of 2**64
+    monkeypatch.setattr(oracle.np, "zeros", _refuse)
+    monkeypatch.setattr(oracle.np, "ones", _refuse)
+    with pytest.raises(OracleBudgetError, match="cells to sweep"):
+        brute_nim(g, oracle.MAX_BUDGET)
+
+
+def test_cell_cap_keeps_default_budget_decisions():
+    for spec in catalog_specs(96):
+        g = build(parse_spec(spec))
+        maximals = [m.order for m in maximal_subgroups(g)]
+        if 1 << max(maximals) > oracle.DEFAULT_BUDGET:
+            continue
+        if sum(class_sizes(g)) <= oracle.DEFAULT_BUDGET:
+            assert sum(1 << m for m in maximals) <= oracle.MAX_CELLS, spec
 
 
 def test_position_empty_equals_game():

@@ -1,8 +1,14 @@
 """Hypothesis properties: relabeling invariance, three-way agreement,
-subgroup enumeration against the coset-join fixpoint and the oracle's sweep
-against the game-tree search."""
+subgroup enumeration against the coset-join fixpoint, the structure solver
+against its per-element loop and the oracle's sweep against the game-tree
+search."""
 
-from _helpers import ReferenceSearch, reference_enumerate
+from _helpers import (
+    ReferenceSearch,
+    reference_enumerate,
+    reference_solve_types,
+    reference_structure_digraph,
+)
 from hypothesis import event, given, reject, settings, strategies as st
 
 from dng.catalog import catalog_specs
@@ -102,6 +108,19 @@ def test_enumeration_matches_coset_fixpoint(spec):
     subgroups, maximals = reference_enumerate(build(spec))
     assert [s.mask for s in all_subgroups(g)] == subgroups
     assert [m.mask for m in maximal_subgroups(g)] == maximals
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_structure_solver_matches_reference(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    d = structure_digraph(g)
+    ref = reference_structure_digraph(g)
+    assert d.edges == ref.edges
+    assert solve_types(d).types == reference_solve_types(ref).types
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,10 +1,16 @@
 import pytest
 
 from _helpers import digraph_to_json
-from dng.errors import TrivialGroupError
+from dng.errors import SolverConsistencyError, TrivialGroupError
 from dng.groups import make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
-from dng.lattice import Subgroup, frattini, maximal_subgroups
+from dng.lattice import (
+    IntersectionPoset,
+    Subgroup,
+    frattini,
+    intersection_subgroups,
+    maximal_subgroups,
+)
 from dng.solver import (
     SPECTRUM,
     StructureDigraph,
@@ -64,6 +70,16 @@ def test_a4_digraph_edges():
     assert len(d.edges) == len(maximals)
 
 
+def test_missing_intersection_raises():
+    g = build(parse_spec("S4"))
+    members = intersection_subgroups(g).members
+    # every node but the source is the target of some edge
+    dropped = members[: len(members) // 2] + members[len(members) // 2 + 1 :]
+    g.derived[intersection_subgroups.__wrapped__] = IntersectionPoset(members=dropped)
+    with pytest.raises(SolverConsistencyError):
+        structure_digraph(g)
+
+
 def _manual(nodes_orders, edges):
     return StructureDigraph(
         nodes=tuple(Subgroup((1 << o) - 1) for o in nodes_orders),
@@ -79,6 +95,11 @@ def test_terminal_odd_node_type():
 def test_terminal_even_node_type():
     d = solve_types(_manual([4], []))
     assert d.types[0] == TypeTriple(0, 0, 1)
+
+
+def test_edges_must_point_to_later_nodes():
+    with pytest.raises(ValueError, match="later node"):
+        solve_types(_manual([1, 3], [(1, 0)]))
 
 
 def test_mixed_options_give_star3():

@@ -1,0 +1,47 @@
+"""Source checks: the package makes no BLAS call.
+
+numpy hands matrix products to a threaded BLAS, whose threads add CPU time
+and memory that a single-threaded run does not show in its wall time.
+"""
+
+import ast
+from pathlib import Path
+
+import dng
+
+#: Operators and numpy names that reach BLAS.
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in {"dot", "matmul"}
+            or node.attr in BLAS_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"np", "numpy"}
+        ):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_NAMES:
+            found.append(f"line {node.lineno}: import {node.name}")
+    return found
+
+
+def test_check_sees_blas_calls():
+    src = (
+        "import numpy as np\nfrom numpy import dot\na @ b\na @= b\n"
+        "np.matmul(a, b)\nnp.inner(a, b)\nx.dot(y)\nspec.inner\n"
+    )
+    assert len(_blas_uses(ast.parse(src))) == 6
+
+
+def test_package_makes_no_blas_call():
+    found = {}
+    for path in sorted(Path(dng.__file__).parent.glob("*.py")):
+        uses = _blas_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
+    assert found == {}
