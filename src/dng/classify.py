@@ -84,10 +84,11 @@ def barnes_first_player_wins(g: Group) -> bool:
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
-    involutions = [t for t in range(1, g.order) if g.mul(t, t) == 0]
+    orders = g.element_orders
+    involutions = [t for t, k in enumerate(orders) if k == 2]
     full = g.full_mask
-    for x in range(g.order):
-        if element_order(g, x) % 2 == 0:
+    for x, k in enumerate(orders):
+        if k % 2 == 0:
             continue
         if all(closure_mask(g, 1 << x | 1 << t) == full for t in involutions):
             return True

@@ -315,7 +315,9 @@ def _parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="classify, solve, and verify one group")
     a.add_argument("spec")
     a.add_argument("--json", action="store_true", help="emit a JSON report")
-    a.add_argument("--fast", action="store_true", help="classifier only, skip the solver")
+    a.add_argument("--fast", action="store_true",
+                   help="skip the structure solver (the oracle still runs "
+                        "unless --no-oracle)")
     common(a, with_oracle=True)
     a.set_defaults(func=_cmd_analyze)
 

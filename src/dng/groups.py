@@ -4,6 +4,11 @@ Elements are ids ``0..n-1`` with the identity fixed at id 0.  Subsets of a
 group are passed around as int bitmasks (bit ``x`` set means element ``x``
 is in the set), which keeps subgroup and position handling uniform across
 the package.
+
+Each group keeps one power table, from which the order of every element and
+the cyclic subgroup it generates are read.  ``closure_mask`` and
+``join_element`` generate subgroups by coset walks; ``min_generators``
+instead asks which maximal subgroups contain a set (``lattice``).
 """
 
 from __future__ import annotations
@@ -76,6 +81,33 @@ class Group:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group({self.name!r}, order={self.order})"
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """``powers[k, x]`` is x^k, for 0 <= k < the exponent of the group."""
+        rows = np.arange(self.order, dtype=self.table.dtype)[None, :]  # x^1 .. x^m
+        while rows.any(axis=1).all():  # no power so far is the identity
+            # doubling: x^(k+m) = x^k * x^m
+            rows = np.concatenate([rows, self.table[rows, rows[-1]]])
+        exponent = int(np.argmin(rows.any(axis=1))) + 1
+        # x^exponent is the identity: it becomes row 0
+        return np.roll(rows[:exponent], 1, axis=0)
+
+    @functools.cached_property
+    def element_orders(self) -> list[int]:
+        """The order of each element, read off ``powers``."""
+        # x^k is the identity iff the order of x divides k
+        hits = np.count_nonzero(self.powers == 0, axis=0)
+        return (len(self.powers) // hits).tolist()
+
+    @functools.cached_property
+    def cyclic_masks(self) -> list[int]:
+        """Bitmask of the cyclic subgroup each element generates: its powers."""
+        n = self.order
+        member = np.full((n, n), False)
+        member[np.arange(n), self.powers] = True  # row x holds every power of x
+        rows = np.packbits(member, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     @functools.cached_property
     def columns(self) -> list[list[int]]:
@@ -297,35 +329,29 @@ def quotient(g: Group, sub) -> Group:
 
 def element_order(g: Group, x: int) -> int:
     """Least k >= 1 with x^k = identity."""
-    k = 1
-    y = x
-    while y != 0:
-        y = g.mul(y, x)
-        k += 1
-    return k
+    return g.element_orders[x]
 
 
 #: Turns a 0/1 bytearray into the ASCII digits of a binary numeral.
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def join_element(g: Group, members: list[int], x: int) -> int:
+def join_element(g: Group, members: list[int], gens: list[int], x: int) -> int:
     """Bitmask of the subgroup generated by a subgroup H and one element x.
 
     ``members`` lists the elements of H, identity first (as ``bits`` yields
-    them).  Dimino's coset step (G. Butler, *Fundamental Algorithms for
-    Permutation Groups*, 1991): the result is a union of right cosets H*r,
-    grown from H by adding the whole coset H*(r*s) whenever a coset
-    representative r times a generator s (an element of H, or x) lands
-    outside it.  Once the union has more than n/2 elements it can only be
-    the whole group.
+    them), and ``gens`` generate H.  Dimino's coset step (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, 1991): the result is a
+    union of right cosets H*r, grown from H by adding the whole coset H*(r*s)
+    whenever a coset representative r times a generator s (one of ``gens``,
+    or x) lands outside it.  Once the union has more than n/2 elements it can
+    only be the whole group.
     """
     cols = g.columns
     n = g.order
     half = n // 2
     k = len(members)
-    gens = members[1:]
-    gens.append(x)
+    gens = [*gens, x]
     seen = bytearray(n)
     for h in members:
         seen[h] = 1
@@ -348,11 +374,15 @@ def join_mask(g: Group, closed: int, extra: int) -> int:
     """Subgroup generated by an already-closed subgroup plus extra elements.
 
     Folds ``join_element`` over the extra elements not yet in the result.
+    The elements of ``closed`` other than the identity generate it, and each
+    element joined is added to the generators.
     """
+    gens = list(bits(closed))[1:]
     fresh = extra & ~closed
     while fresh:
-        low = fresh & -fresh
-        closed = join_element(g, list(bits(closed)), low.bit_length() - 1)
+        x = (fresh & -fresh).bit_length() - 1
+        closed = join_element(g, list(bits(closed)), gens, x)
+        gens.append(x)
         fresh &= ~closed
     return closed
 
@@ -371,34 +401,29 @@ def closure_mask(g: Group, mask: int) -> int:
 
 def is_cyclic(g: Group) -> bool:
     """True iff some element has order |g|."""
-    return any(element_order(g, x) == g.order for x in range(g.order))
+    return g.order in g.element_orders
 
 
 def min_generators(g: Group, cap: int = 3) -> int:
     """Least k <= cap such that some k-subset generates g.
 
-    Raises GeneratorCapError when every tuple up to size ``cap`` fails, which
-    is distinguishable from any returned value.
+    A set generates g iff no maximal subgroup contains it, that is iff the
+    AND of its elements' maximal incidences is 0.  The distinct k-fold ANDs
+    are grown one element at a time until one of them is 0.  Raises
+    GeneratorCapError when no set of size ``cap`` generates, which is
+    distinguishable from any returned value.
     """
+    from .lattice import maximal_incidence  # lattice imports this module
+
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if g.order == 1:
         return 0
-    full = g.full_mask
-    n = g.order
-
-    def extend(closed: int, start: int, remaining: int) -> bool:
-        for x in range(start, n):
-            if closed >> x & 1:
-                continue  # x adds nothing: same closure as the shorter prefix
-            c = closure_mask(g, closed | 1 << x)
-            if c == full:
-                return True
-            if remaining > 1 and extend(c, x + 1, remaining - 1):
-                return True
-        return False
-
+    index = maximal_incidence(g)
+    elements = set(index.elements)
+    level = {index.everything}
     for k in range(1, cap + 1):
-        if extend(1, 1, k):
+        level = {inc & e for inc in level for e in elements}
+        if 0 in level:
             return k
     raise GeneratorCapError(cap)

@@ -2,13 +2,15 @@
 
 Enumeration works up to conjugacy, by cyclic extension (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005).  The seeds are the
-cyclic subgroups of prime-power order: every element is a product of
-prime-power powers of itself, so every subgroup is a join of seeds.  Starting
-from the trivial subgroup, one representative of each conjugacy class is
-joined with every seed (a coset walk, ``groups.join_element``); a join not
-seen before is a new class, whose members are listed at once by conjugating
-with a generating set of g.  Since <H, hx> = <H, x> for h in H, a
-representative is joined with at most one seed per right coset.  A proper
+cyclic subgroups of prime-power order, read off the group's power table:
+every element is a product of prime-power powers of itself, so every
+subgroup is a join of seeds.  Starting from the trivial subgroup, one
+representative of each conjugacy class is joined with every seed (a coset
+walk, ``groups.join_element``, that multiplies by a generating set of the
+representative: its parent's generators and the seed that made it); a join
+not seen before is a new class, whose members are listed at once by
+conjugating with a generating set of g.  Since <H, hx> = <H, x> for h in H,
+a representative is joined with at most one seed per right coset.  A proper
 subgroup is maximal iff its join with every seed outside it is the whole
 group (an element outside H has a prime-power part outside H), and the
 maximal subgroups are the classes of the maximal representatives.  The
@@ -16,12 +18,12 @@ intersection poset folds the maximal subgroups one at a time into the set of
 intersections found so far.
 
 Which maximal subgroups contain a set is answered by its incidence, the
-bitmask of those maximal subgroups.  For one set at a time
-(``maximal_incidence``) it is the AND of its elements' incidences, as
-Python ints.  For many sets at once (``inclusion``) the sets and the
-containers are rows of packed uint64 words (``packed``), and a set lies in a
-container iff ``set & ~container`` is 0 in every word; the rows are tested a
-bounded chunk at a time.
+bitmask of those maximal subgroups; a set generates the group iff its
+incidence is 0.  For one set at a time (``maximal_incidence``) it is the AND
+of its elements' incidences, as Python ints.  For many sets at once
+(``inclusion``) the sets and the containers are rows of packed uint64 words
+(``packed``), and a set lies in a container iff ``set & ~container`` is 0 in
+every word; the rows are tested a bounded chunk at a time.
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
-from .groups import Group, bits, closure_mask, element_order, join_element, mask_of
+from .groups import Group, bits, element_order, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
@@ -101,29 +103,36 @@ def _is_prime_power(k: int) -> bool:
     return k == 1
 
 
+def _seeds(g: Group) -> list[tuple[int, int]]:
+    """Each cyclic subgroup of prime-power order with its first generator,
+    sorted by mask, read off the power table."""
+    orders = g.element_orders
+    prime_powers = {k for k in set(orders) if k > 1 and _is_prime_power(k)}
+    generator: dict[int, int] = {}
+    for x, c in enumerate(g.cyclic_masks):
+        if orders[x] in prime_powers:
+            generator.setdefault(c, x)
+    return sorted(generator.items())
+
+
 @per_group
 def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
     """All subgroups and the maximal ones, one conjugacy class at a time."""
     full = g.full_mask
-    # each cyclic subgroup of prime-power order with one generator; joining a
-    # generator joins the subgroup
-    generator: dict[int, int] = {}
-    for x in range(1, g.order):
-        c = closure_mask(g, 1 << x)
-        if _is_prime_power(c.bit_count()):
-            generator.setdefault(c, x)
-    seeds = sorted(generator.items())
+    # joining a seed's generator joins the seed
+    seeds = _seeds(g)
     # conjugation by a generating set of g, taken greedily from the seeds:
     # conj[h] is x*h*x^-1.  A central x fixes every subgroup, so its
     # conjugation is left out.
     conjugations: list[list[int]] = []
     identity = list(range(g.order))
-    span = 1
+    span, span_gens = 1, []
     for c, x in seeds:
         if span == full:
             break
         if c & ~span:
-            span = join_element(g, list(bits(span)), x)
+            span = join_element(g, list(bits(span)), span_gens, x)
+            span_gens.append(x)
             conj = g.table[:, g.inverses[x]][g.table[x]].tolist()
             if conj != identity:
                 conjugations.append(conj)
@@ -142,9 +151,12 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
 
     cols = g.columns
     found = {1, full}
-    classes = [[1]]  # each class lists its representative first
+    # each class lists its members, representative first, and a generating
+    # set of the representative: its parent's plus the seed that made it, at
+    # most log2 of its order long
+    classes: list[tuple[list[int], list[int]]] = [([1], [])]
     maximals: list[int] = []
-    for orbit in classes:  # grows while it is walked
+    for orbit, gens in classes:  # grows while it is walked
         members = list(bits(orbit[0]))
         # <H, hx> = <H, x> for h in H: one join per right coset of H; the
         # coset H itself adds nothing
@@ -155,7 +167,7 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
         for _, x in seeds:
             if done[x]:
                 continue
-            j = join_element(g, members, x)
+            j = join_element(g, members, gens, x)
             col = cols[x]
             for m in members:
                 done[col[m]] = 1
@@ -163,8 +175,8 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
                 continue
             maximal = False
             if j not in found:
-                classes.append(conjugacy_class(j))
-                found.update(classes[-1])
+                classes.append((conjugacy_class(j), [*gens, x]))
+                found.update(classes[-1][0])
                 if len(found) > SUBGROUP_GUARD:
                     raise LatticeGuardError(
                         f"more than {SUBGROUP_GUARD} subgroups in {g.name}"

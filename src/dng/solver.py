@@ -15,14 +15,14 @@ positions).  Types are solved bottom-up:
 ``comp(t, q)`` is the nim-number of parity-``q`` positions of a class of
 type ``t``.  A consistency identity cross-checks every node.
 
-The digraph is built in one numpy pass over word-packed incidences
-(``lattice.inclusion``): the incidences of the nodes and of the elements
-are rows of uint64 words, and the targets of a chunk of nodes are the
-distinct nonzero ANDs of each node's row with every element's row, looked
-up by a one-word key among the nodes' keys.  Types are solved through a
-memo on option sets: each type gets a one-hot id, a node's options are the
-OR of its successors' ids, and each distinct (parity, options) pair is
-solved once.
+The digraph is built in one numpy pass over word-packed incidences: the
+incidences of the nodes (``lattice.inclusion``) and of the elements
+(``lattice.maximal_incidence``) are rows of uint64 words, and the targets of
+a chunk of nodes are the distinct nonzero ANDs of each node's row with every
+element's row, looked up by a one-word key among the nodes' keys.  Types
+are solved through a memo on option sets: each type gets a one-hot id, a
+node's options are the OR of its successors' ids, and each distinct
+(parity, options) pair is solved once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .lattice import (
     Subgroup,
     inclusion,
     intersection_subgroups,
-    maximal_subgroups,
+    maximal_incidence,
     packed,
 )
 from .oracle import mex
@@ -124,9 +124,10 @@ def structure_digraph(g: Group) -> StructureDigraph:
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
     nodes = intersection_subgroups(g).members
-    maximals = packed([m.mask for m in maximal_subgroups(g)], g.order)
+    incidence = maximal_incidence(g)
+    maximals = packed(incidence.maximals, g.order)
     node_inc = inclusion(packed([s.mask for s in nodes], g.order), maximals)
-    elem_inc = inclusion(packed([1 << x for x in range(g.order)], g.order), maximals)
+    elem_inc = packed(incidence.elements, len(incidence.maximals))
     node_keys = _keys(node_inc)
     by_key = np.argsort(node_keys)
     sorted_keys = node_keys[by_key]

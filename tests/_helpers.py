@@ -14,8 +14,9 @@ from dng.groups import (
     join_element,
     mask_of,
 )
-from dng.errors import SolverConsistencyError
+from dng.errors import GeneratorCapError, SolverConsistencyError
 from dng.lattice import (
+    _is_prime_power,
     all_subgroups,
     frattini,
     intersection_subgroups,
@@ -232,7 +233,8 @@ def reference_enumerate(g: Group) -> tuple[list[int], list[int]]:
             for c, x in cyclics:
                 if c & ~h == 0:
                     continue
-                j = join_element(g, members, x)
+                # every element of h generates h, as before generating sets
+                j = join_element(g, members, members[1:], x)
                 if j == full:
                     continue
                 maximal = False
@@ -464,3 +466,65 @@ def reference_solve_types(d: StructureDigraph) -> StructureDigraph:
         else:
             types[i] = TypeTriple(0, nim_same, nim_other)
     return replace(d, types=tuple(types))
+
+
+# ---------------------------------------------------------------------------
+# Reference generation queries: the power loop, the prime-power seeds found by
+# closure and the k-subset closure search, as the library answered them
+# before its power table and its incidence search.
+
+
+def reference_element_order(g: Group, x: int) -> int:
+    """Least k >= 1 with x^k = identity, by multiplying x in until it is."""
+    k = 1
+    y = x
+    while y != 0:
+        y = g.mul(y, x)
+        k += 1
+    return k
+
+
+def reference_seeds(g: Group) -> list[tuple[int, int]]:
+    """Each cyclic subgroup of prime-power order with its first generator."""
+    generator: dict[int, int] = {}
+    for x in range(1, g.order):
+        c = closure_mask(g, 1 << x)
+        if _is_prime_power(c.bit_count()):
+            generator.setdefault(c, x)
+    return sorted(generator.items())
+
+
+def reference_min_generators(g: Group, cap: int = 3) -> int:
+    """Least k <= cap such that some k-subset generates g, by closing every
+    k-subset whose elements each add to the closure of the ones before."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if g.order == 1:
+        return 0
+    full = g.full_mask
+    n = g.order
+
+    def extend(closed: int, start: int, remaining: int) -> bool:
+        for x in range(start, n):
+            if closed >> x & 1:
+                continue  # x adds nothing: same closure as the shorter prefix
+            c = closure_mask(g, closed | 1 << x)
+            if c == full:
+                return True
+            if remaining > 1 and extend(c, x + 1, remaining - 1):
+                return True
+        return False
+
+    for k in range(1, cap + 1):
+        if extend(1, 1, k):
+            return k
+    raise GeneratorCapError(cap)
+
+
+def d_or_cap(min_gens, g: Group, cap: int):
+    """``min_gens(g, cap)``, or ``">cap"`` when it raises GeneratorCapError,
+    as the ``verify`` column ``d`` shows it."""
+    try:
+        return min_gens(g, cap)
+    except GeneratorCapError as exc:
+        return f">{exc.cap}"

@@ -1,6 +1,7 @@
 import pytest
 
-from dng.catalog import builtin_catalog
+from dng.catalog import builtin_catalog, catalog_specs
+from dng.groupspec import build, parse_spec
 from dng.oracle import brute_nim
 
 
@@ -12,6 +13,25 @@ def catalog24():
 @pytest.fixture(scope="session")
 def catalog36():
     return builtin_catalog(36)
+
+
+@pytest.fixture(scope="session")
+def built():
+    """Build a group from its spec once per session: ``built("S6")``.  Tests
+    that share a group share its per-group results."""
+    groups = {}
+
+    def get(spec):
+        if spec not in groups:
+            groups[spec] = build(parse_spec(spec))
+        return groups[spec]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def catalog96(built):
+    return [(spec, built(spec)) for spec in catalog_specs(96)]
 
 
 @pytest.fixture(scope="session")

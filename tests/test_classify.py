@@ -22,6 +22,8 @@ from dng.groups import (
     make_symmetric,
     min_generators,
 )
+from dng import lattice
+from dng.catalog import builtin_catalog
 from dng.groupspec import build, parse_spec
 from dng.lattice import all_subgroups, even_maximals_cover
 from dng.solver import game_nim
@@ -68,6 +70,18 @@ def test_barnes_examples():
 def test_barnes_matches_nim(catalog24, oracle_nims24):
     for name, g in catalog24:
         assert barnes_first_player_wins(g) == (oracle_nims24[name] != 0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("Barnes' criterion read the subgroup lattice")
+
+
+def test_barnes_reads_no_maximal_subgroup(monkeypatch):
+    expected = [barnes_first_player_wins(g) for _, g in builtin_catalog(24)]
+    monkeypatch.setattr(lattice, "_enumerate", _refuse)
+    monkeypatch.setattr(lattice, "maximal_incidence", _refuse)
+    got = [barnes_first_player_wins(g) for _, g in builtin_catalog(24)]
+    assert got == expected
 
 
 def test_cyclic_formula_values():

@@ -1,6 +1,7 @@
 """The lattice pipeline and the oracle against the reference implementations
 in _helpers."""
 
+import math
 from itertools import permutations
 
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from _helpers import (
     ReferenceSearch,
     by_order,
+    d_or_cap,
     matrix_group_2x2,
     reference_closure_mask,
     reference_dicyclic_table,
     reference_digraph_edges,
+    reference_element_order,
     reference_enumerate,
     reference_intersection_masks,
     reference_inverses,
@@ -20,9 +23,11 @@ from _helpers import (
     reference_lattice_dot,
     reference_largest_odd_normal_in_frattini,
     reference_maximal_masks,
+    reference_min_generators,
     reference_outcome_check,
     reference_perm_table,
     reference_real_element_disjunction,
+    reference_seeds,
     reference_smallest_intersection,
     reference_solve_types,
     reference_structure_digraph,
@@ -36,14 +41,17 @@ from dng.groups import (
     bits,
     closure_mask,
     element_order,
+    is_cyclic,
     join_mask,
     make_alternating,
     make_cyclic,
     make_dicyclic,
     make_symmetric,
+    min_generators,
 )
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
+    _seeds,
     all_subgroups,
     intersection_subgroups,
     largest_odd_normal_in_frattini,
@@ -80,8 +88,8 @@ SOLVER_SPECS = catalog_specs(96) + ["S6", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3", "D
 
 
 @pytest.mark.parametrize("spec", SOLVER_SPECS)
-def test_structure_solver_matches_reference(spec):
-    g = build(parse_spec(spec))
+def test_structure_solver_matches_reference(spec, built):
+    g = built(spec)
     d = structure_digraph(g)
     ref = reference_structure_digraph(g)
     assert d.nodes == ref.nodes
@@ -144,9 +152,8 @@ def test_dicyclic_table_matches_reference(n):
     assert make_dicyclic(n).table.tolist() == reference_dicyclic_table(n)
 
 
-def test_inverses_match_reference():
-    for spec in catalog_specs(96):
-        g = build(parse_spec(spec))
+def test_inverses_match_reference(catalog96):
+    for spec, g in catalog96:
         assert g.inverses.tolist() == reference_inverses(g.table), spec
 
 
@@ -276,3 +283,44 @@ def test_predicates_match_lattice_scans(spec):
         xinv = g.inv(x)
         if element_order(g, x) % 2 and any(g.conj(t, x) == xinv for t in range(g.order)):
             assert real_element_disjunction(g, x) == reference_real_element_disjunction(g, x)
+
+
+# ---------------------------------------------------------------------------
+# Generation questions answered from the power table and the maximal
+# incidence against the closure loops they replace.
+
+#: Z720 has the longest power chain under the order budget.
+POWER_EXTRAS = ["S6", "A6", "Z720"]
+
+#: Z2^6 and the Dih group exhaust every cap; S6 is the largest group here.
+GENERATOR_EXTRAS = [
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+    "Dih(Z2 x Z2 x Z2 x Z2 x Z3)",
+    "S5",
+    "A4 x A4",
+    "S6",
+]
+
+
+def test_power_table_matches_power_loop_and_closure(catalog96, built):
+    for name, g in catalog96 + [(spec, built(spec)) for spec in POWER_EXTRAS]:
+        orders = [reference_element_order(g, x) for x in range(g.order)]
+        # row k holds x^k, up to the exponent
+        p = g.powers
+        assert len(p) == math.lcm(*orders), name
+        assert not p[0].any() and p[1].tolist() == list(range(g.order)), name
+        assert (g.table[p[1:-1], p[1]] == p[2:]).all(), name
+        assert [element_order(g, x) for x in range(g.order)] == orders, name
+        assert g.cyclic_masks == [closure_mask(g, 1 << x) for x in range(g.order)], name
+        assert is_cyclic(g) == (g.order in orders), name
+        assert _seeds(g) == reference_seeds(g), name
+
+
+def test_min_generators_matches_closure_search(catalog96, built):
+    for name, g in catalog96 + [(spec, built(spec)) for spec in GENERATOR_EXTRAS]:
+        # the search tries k = 1, 2, 3, 4 in turn, so one run at cap 4 also
+        # answers every smaller cap
+        d = d_or_cap(reference_min_generators, g, 4)
+        for cap in range(1, 5):
+            expected = d if isinstance(d, int) and d <= cap else f">{cap}"
+            assert d_or_cap(min_generators, g, cap) == expected, (name, cap)

@@ -2,7 +2,14 @@ import pytest
 
 from _helpers import brute_force_subgroup_masks, union_of_maximals
 from dng.errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
-from dng.groups import closure_mask, is_cyclic, make_alternating, make_cyclic, make_symmetric
+from dng.groups import (
+    closure_mask,
+    is_cyclic,
+    make_alternating,
+    make_cyclic,
+    make_symmetric,
+    mask_of,
+)
 from dng.groupspec import build, parse_spec
 from dng import lattice
 from dng.lattice import (
@@ -57,6 +64,21 @@ def test_enumeration_work_is_pinned(monkeypatch, spec, joins, subgroups, maximal
     assert len(all_subgroups(g)) == subgroups
     assert len(maximal_subgroups(g)) == maximals
     assert len(calls) == joins
+
+
+@pytest.mark.parametrize("spec", ["S5", "A4 x A4", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2"])
+def test_joins_take_short_generating_sets(monkeypatch, spec):
+    """Enumeration joins each class representative H, and each step of its
+    span of g, with a generating set of H at most log2|H| long."""
+    calls = []
+    join = lattice.join_element
+    monkeypatch.setattr(lattice, "join_element", lambda *a: calls.append(a) or join(*a))
+    g = build(parse_spec(spec))
+    all_subgroups(g)
+    generators = {mask_of(members): gens for _, members, gens, _ in calls}
+    for h, gens in generators.items():
+        assert closure_mask(g, mask_of(gens)) == h
+        assert 2 ** len(gens) <= h.bit_count()
 
 
 def test_subgroup_invariants():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dng import oracle
-from dng.catalog import catalog_specs
 from dng.errors import (
     GeneratingSetError,
     OracleBudgetError,
@@ -132,9 +131,8 @@ def test_cell_cap_skips_before_allocating(monkeypatch):
         brute_nim(g, oracle.MAX_BUDGET)
 
 
-def test_cell_cap_keeps_default_budget_decisions():
-    for spec in catalog_specs(96):
-        g = build(parse_spec(spec))
+def test_cell_cap_keeps_default_budget_decisions(catalog96):
+    for spec, g in catalog96:
         maximals = [m.order for m in maximal_subgroups(g)]
         if 1 << max(maximals) > oracle.DEFAULT_BUDGET:
             continue

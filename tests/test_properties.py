@@ -1,11 +1,16 @@
 """Hypothesis properties: relabeling invariance, three-way agreement,
 subgroup enumeration against the coset-join fixpoint, the structure solver
-against its per-element loop and the oracle's sweep against the game-tree
-search."""
+against its per-element loop, the oracle's sweep against the game-tree
+search, and the power table and the incidence search for generators against
+the closure loops."""
 
 from _helpers import (
     ReferenceSearch,
+    d_or_cap,
+    reference_element_order,
     reference_enumerate,
+    reference_min_generators,
+    reference_seeds,
     reference_solve_types,
     reference_structure_digraph,
 )
@@ -14,7 +19,7 @@ from hypothesis import event, given, reject, settings, strategies as st
 from dng.catalog import catalog_specs
 from dng.classify import classify, is_nilpotent
 from dng.errors import NonAbelianError, OracleBudgetError
-from dng.groups import Group
+from dng.groups import Group, closure_mask, min_generators
 from dng.groupspec import (
     Alternating,
     Cyclic,
@@ -27,7 +32,12 @@ from dng.groupspec import (
     parse_spec,
     spec_order,
 )
-from dng.lattice import all_subgroups, largest_odd_normal_in_frattini, maximal_subgroups
+from dng.lattice import (
+    _seeds,
+    all_subgroups,
+    largest_odd_normal_in_frattini,
+    maximal_subgroups,
+)
 from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import emit_dot, game_nim, simplify, solve_types, structure_digraph, type_multiset
 
@@ -138,3 +148,17 @@ def test_oracle_table_matches_reference_search(spec):
     ref = ReferenceSearch([m.mask for m in maximal_subgroups(g)])
     ref.nim(0)
     assert table == ref.memo
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_generation_queries_match_closure_loops(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    assert g.element_orders == [reference_element_order(g, x) for x in range(g.order)]
+    assert g.cyclic_masks == [closure_mask(g, 1 << x) for x in range(g.order)]
+    assert _seeds(g) == reference_seeds(g)
+    for cap in range(1, 5):
+        assert d_or_cap(min_generators, g, cap) == d_or_cap(reference_min_generators, g, cap)
