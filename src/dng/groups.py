@@ -112,9 +112,10 @@ class Group:
     @functools.cached_property
     def columns(self) -> list[list[int]]:
         """``columns[b][a]`` is the id of a*b, as Python lists."""
-        # the entries share one int object per id: 8 bytes each, not 36
-        ids = list(range(self.order))
-        return [list(map(ids.__getitem__, col.tolist())) for col in self.table.T]
+        # the entries share one int object per id at any order: 8 bytes
+        # each, not 36
+        ids = np.array(range(self.order), dtype=object)
+        return ids[self.table.T].tolist()
 
     @classmethod
     def from_table(
@@ -370,14 +371,14 @@ def join_element(g: Group, members: list[int], gens: list[int], x: int) -> int:
     return int(seen[::-1].translate(_BINARY_DIGITS), 2)
 
 
-def join_mask(g: Group, closed: int, extra: int) -> int:
-    """Subgroup generated by an already-closed subgroup plus extra elements.
+def join_mask(g: Group, closed: int, gens: list[int], extra: int) -> int:
+    """Subgroup generated by an already-closed subgroup, which ``gens``
+    generate, plus extra elements.
 
-    Folds ``join_element`` over the extra elements not yet in the result.
-    The elements of ``closed`` other than the identity generate it, and each
-    element joined is added to the generators.
+    Folds ``join_element`` over the extra elements not yet in the result;
+    each element joined is added to the generators.
     """
-    gens = list(bits(closed))[1:]
+    gens = list(gens)
     fresh = extra & ~closed
     while fresh:
         x = (fresh & -fresh).bit_length() - 1
@@ -390,12 +391,16 @@ def join_mask(g: Group, closed: int, extra: int) -> int:
 def closure_mask(g: Group, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements in ``mask``.
 
-    The join of the trivial subgroup with ``mask``; results are kept in
-    ``g.closures``.
+    The join of the cyclic subgroup of its lowest element other than the
+    identity, read off the power table, with the rest of ``mask``; results
+    are kept in ``g.closures``.
     """
     hit = g.closures.get(mask)
     if hit is None:
-        hit = g.closures[mask] = join_mask(g, 1, mask)
+        rest = mask & ~1  # the identity generates nothing
+        x = (rest & -rest).bit_length() - 1
+        hit = join_mask(g, g.cyclic_masks[x], [x], rest) if rest else 1
+        g.closures[mask] = hit
     return hit
 
 

@@ -137,13 +137,16 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
             if conj != identity:
                 conjugations.append(conj)
 
+    pow2 = [1 << x for x in range(g.order)]
+
     def conjugacy_class(h: int) -> list[int]:
         orbit = [h]
         seen = {h}
         for k in orbit:  # grows while it is walked
             members = list(bits(k))
             for conj in conjugations:
-                image = mask_of(conj[m] for m in members)
+                # the images are distinct bits, so their sum is their OR
+                image = sum(map(pow2.__getitem__, map(conj.__getitem__, members)))
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

@@ -4,11 +4,15 @@ The positions of the game are the non-generating sets, which are exactly the
 subsets of the maximal subgroups.  For each maximal subgroup M containing the
 base position p, the sweep keeps one numpy array over the subsets of M minus
 p, indexed by a local bitmask: bit b stands for the b-th element of M \\ p.
-A cell holds the nim-number of its position as a one-hot ``uint64``, so a
-seen-set is the OR of its children's cells and the mex is its lowest clear
-bit.  The arrays are filled one size level at a time, from |M| down to p:
+The arrays of the maximals with the same number of free elements are the
+rows of one 2-D stack.  A cell holds the nim-number of its position as a
+one-hot ``uint64``, so a seen-set is the OR of its children's cells and the
+mex is its lowest clear bit.  The arrays are filled one size level at a
+time, from |M| down to p, and each level of a stack a chunk of columns at a
+time, so that no numpy temporary reaches glibc's mmap threshold:
 
-1. each cell ORs its children one level up inside its own maximal;
+1. each cell ORs its children one level up inside its own maximal, one
+   element at a time: the child that adds element b, for every row at once;
 2. for each pair i < j of maximals, every subset of Mi and Mj ORs its cell
    in maximal j into its cell in maximal i, so the first maximal containing
    a position, its owner, has seen every child, in whichever maximal the
@@ -57,11 +61,16 @@ MAX_BUDGET = 2**64
 
 #: Most cells a sweep may allocate, counted before the first allocation;
 #: above it the sweep raises OracleBudgetError whatever the budget.  Sweeps
-#: of ``Z40`` and ``Z44`` peak at 80 to 90 bytes per cell, so this bounds a
-#: sweep near 350 MB.  Games within the default budget need at most half of
-#: it: on the catalog up to order 96 the most is ``Z40``, 1,048,832 cells,
-#: and ``Z2^5`` needs 2,031,616.
+#: of ``Z40`` and ``Z2^5`` peak at 27 and 11 bytes per cell (tracemalloc), so
+#: this bounds a sweep near 120 MB.  Games within the default budget need at
+#: most half of it: on the catalog up to order 96 the most is ``Z40``,
+#: 1,048,832 cells, and ``Z2^5`` needs 2,031,616.
 MAX_CELLS = 2**22
+
+#: Cells per numpy temporary of the sweep: 64 KiB of uint64, below glibc's
+#: default mmap threshold of 128 KiB, so the temporaries reuse heap memory
+#: instead of faulting in fresh pages.
+CHUNK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -125,10 +134,10 @@ def _by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _embed(subsets: np.ndarray, shared: int, elems: list[int]) -> np.ndarray:
     """Local indices, in a maximal whose free elements are ``elems``, of the
     ``subsets`` of ``shared`` (bit b for its b-th element)."""
-    out = np.zeros(len(subsets), dtype=np.int64)
-    for b, x in enumerate(bits(shared)):
-        out |= (subsets >> b & 1) << elems.index(x)
-    return out
+    local = np.array([0], dtype=np.int64)  # local[s] is the index of subset s
+    for x in bits(shared):
+        local = np.concatenate([local, local | 1 << elems.index(x)])
+    return local[subsets]
 
 
 @dataclass
@@ -188,19 +197,33 @@ def _sweep(
         int(np.bitwise_count(np.flatnonzero(o)).sum(dtype=np.int64)) for o in owned
     )
 
-    cells = [np.zeros(1 << len(f), dtype=np.uint64) for f in elems]
-    size = base.bit_count()
-    for level in range(max(map(len, elems)), -1, -1):
-        rows = []
-        for f, c in zip(elems, cells):
-            if level <= len(f):
-                order, starts = by_level(len(f))
+    # maximals with the same number of free elements share one stack of rows
+    stacks = {
+        n: np.zeros((sum(len(f) == n for f in elems), 1 << n), dtype=np.uint64)
+        for n in sorted(set(map(len, elems)))
+    }
+    rows = {n: iter(stack) for n, stack in stacks.items()}
+    cells = [next(rows[len(f)]) for f in elems]
+
+    def chunks(level: int):
+        """Each stack with one chunk of its columns at this level at a time."""
+        for n, stack in stacks.items():
+            if level <= n:
+                order, starts = by_level(n)
                 at = order[starts[level] : starts[level + 1]]
-                # a child that adds an element already in the subset is the
-                # subset itself, whose cell is still 0
-                children = at[:, None] | 1 << np.arange(len(f), dtype=np.int64)
-                c[at] = np.bitwise_or.reduce(c[children], axis=1)
-                rows.append((c, at))
+                width = max(1, CHUNK_CELLS // len(stack))
+                for lo in range(0, len(at), width):
+                    yield n, stack, at[lo : lo + width]
+
+    size = base.bit_count()
+    for level in range(max(stacks), -1, -1):
+        for n, stack, part in chunks(level):
+            seen = np.zeros((len(stack), len(part)), dtype=np.uint64)
+            # a child that adds an element already in the subset is the
+            # subset itself, whose cell is still 0
+            for b in range(n):
+                seen |= np.take(stack, part | 1 << b, axis=1)
+            stack[:, part] = seen
         live = []  # the pairs whose shared subsets include this level
         for i, j, ii, jj, starts in pairs:
             if level < len(starts) - 1:
@@ -208,8 +231,8 @@ def _sweep(
                 live.append((cells[i], cells[j], ii[s], jj[s]))
         for ci, cj, ii, jj in live:  # owners see the children in every maximal
             ci[ii] |= cj[jj]
-        for c, at in rows:
-            c[at] = fold(c[at], size + level)
+        for n, stack, part in chunks(level):
+            stack[:, part] = fold(stack[:, part], size + level)
         for ci, cj, ii, jj in live:  # ascending i: each source is final
             cj[jj] = ci[ii]
     return _Sweep(elems=elems, cells=cells, positions=positions, effort=effort)

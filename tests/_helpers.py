@@ -217,7 +217,7 @@ def reference_enumerate(g: Group) -> tuple[list[int], list[int]]:
     full = g.full_mask
     generator: dict[int, int] = {}
     for x in range(g.order):
-        generator.setdefault(closure_mask(g, 1 << x), x)
+        generator.setdefault(reference_cyclic_mask(g, x), x)
     cyclics = sorted(generator.items())
     found: set[int] = {1, full}
     found.update(generator)
@@ -470,8 +470,8 @@ def reference_solve_types(d: StructureDigraph) -> StructureDigraph:
 
 # ---------------------------------------------------------------------------
 # Reference generation queries: the power loop, the prime-power seeds found by
-# closure and the k-subset closure search, as the library answered them
-# before its power table and its incidence search.
+# it and the k-subset closure search, as the library answered them before its
+# power table and its incidence search.
 
 
 def reference_element_order(g: Group, x: int) -> int:
@@ -484,11 +484,21 @@ def reference_element_order(g: Group, x: int) -> int:
     return k
 
 
+def reference_cyclic_mask(g: Group, x: int) -> int:
+    """Bitmask of the powers of x, by multiplying x in until the identity."""
+    mask = 1
+    y = x
+    while y != 0:
+        mask |= 1 << y
+        y = g.mul(y, x)
+    return mask
+
+
 def reference_seeds(g: Group) -> list[tuple[int, int]]:
     """Each cyclic subgroup of prime-power order with its first generator."""
     generator: dict[int, int] = {}
     for x in range(1, g.order):
-        c = closure_mask(g, 1 << x)
+        c = reference_cyclic_mask(g, x)
         if _is_prime_power(c.bit_count()):
             generator.setdefault(c, x)
     return sorted(generator.items())

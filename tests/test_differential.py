@@ -12,6 +12,7 @@ from _helpers import (
     d_or_cap,
     matrix_group_2x2,
     reference_closure_mask,
+    reference_cyclic_mask,
     reference_dicyclic_table,
     reference_digraph_edges,
     reference_element_order,
@@ -33,6 +34,7 @@ from _helpers import (
     reference_structure_digraph,
     reference_subgroup_masks,
 )
+from dng import oracle
 from dng.catalog import catalog_specs
 from dng.classify import is_nilpotent, real_element_disjunction
 from dng.errors import GeneratingSetError
@@ -170,9 +172,10 @@ def test_closure_of_pairs_matches_reference(spec):
 def test_join_of_subgroup_and_element_matches_reference(spec):
     g = build(parse_spec(spec))
     for h in reference_subgroup_masks(g):
+        gens = list(bits(h))[1:]
         for x in bits(g.full_mask & ~h):
             extra = 1 << x | 1 << (g.order - 1 - x)
-            assert join_mask(g, h, extra) == reference_join_mask(g, h, extra)
+            assert join_mask(g, h, gens, extra) == reference_join_mask(g, h, extra)
 
 
 @pytest.mark.parametrize("n", [2, 7])
@@ -235,6 +238,24 @@ def test_outcome_check_matches_reference(spec):
     else:
         with pytest.raises(ValueError, match="mixed parities"):
             strategy_free_outcome_check(g)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_sweep_chunk_boundaries_match_reference(monkeypatch, spec):
+    g = build(parse_spec(spec))
+    maximals = _maximal_masks(g)
+    ref = ReferenceSearch(maximals)
+    ref.nim(0)
+    one_parity = len({m.bit_count() % 2 for m in maximals}) == 1
+    outcome = reference_outcome_check(maximals) if one_parity else None
+    # chunks of one or three cells split every level of every stack
+    for chunk in [1, 3]:
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", chunk)
+        assert brute_nim_table(g) == ref.memo, chunk
+        for p in [0, *maximals]:
+            assert brute_nim_position(g, p) == ref.nim(p), chunk
+        if one_parity:
+            assert strategy_free_outcome_check(g) == outcome, chunk
 
 
 @pytest.mark.parametrize("spec", catalog_specs(12))
@@ -311,7 +332,8 @@ def test_power_table_matches_power_loop_and_closure(catalog96, built):
         assert not p[0].any() and p[1].tolist() == list(range(g.order)), name
         assert (g.table[p[1:-1], p[1]] == p[2:]).all(), name
         assert [element_order(g, x) for x in range(g.order)] == orders, name
-        assert g.cyclic_masks == [closure_mask(g, 1 << x) for x in range(g.order)], name
+        cyclic = [reference_cyclic_mask(g, x) for x in range(g.order)]
+        assert g.cyclic_masks == cyclic, name
         assert is_cyclic(g) == (g.order in orders), name
         assert _seeds(g) == reference_seeds(g), name
 

@@ -34,6 +34,12 @@ def test_cyclic_trivial():
     assert g.order == 1
 
 
+def test_columns_share_one_int_per_id():
+    g = make_cyclic(300)  # above CPython's cache of small ints
+    assert g.columns == g.table.T.tolist()
+    assert len({id(x) for col in g.columns for x in col}) == g.order
+
+
 def test_cyclic_table():
     g = make_cyclic(4)
     assert g.mul(1, 3) == 0

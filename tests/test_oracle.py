@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ def test_cell_cap_skips_before_allocating(monkeypatch):
     monkeypatch.setattr(oracle.np, "ones", _refuse)
     with pytest.raises(OracleBudgetError, match="cells to sweep"):
         brute_nim(g, oracle.MAX_BUDGET)
+
+
+def test_sweep_temporaries_stay_small():
+    # Z40's 2^20 cells take 8 MiB; a level-wide child matrix took 75 MiB
+    z40 = make_cyclic(40)
+    class_sizes(z40)  # the subgroups and the poset, outside the trace
+    tracemalloc.start()
+    try:
+        assert brute_nim(z40, 10**7).nim == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_cell_cap_keeps_default_budget_decisions(catalog96):

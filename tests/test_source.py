@@ -1,7 +1,10 @@
-"""Source checks: the package makes no BLAS call.
+"""Source checks: the package makes no BLAS call and reads no environment
+variable.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
-and memory that a single-threaded run does not show in its wall time.
+and memory that a single-threaded run does not show in its wall time.  A
+value read from the environment would be an option that no test or
+benchmark sets, so tuning constants stay constants.
 """
 
 import ast
@@ -30,6 +33,31 @@ def _blas_uses(tree: ast.AST) -> list[str]:
     return found
 
 
+#: Names through which Python reads the environment.
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.alias) and node.name in ENVIRONMENT_NAMES:
+            found.append(f"line {node.lineno}: import {node.name}")
+    return found
+
+
+def _package_findings(check) -> dict[str, list[str]]:
+    found = {}
+    for path in sorted(Path(dng.__file__).parent.glob("*.py")):
+        uses = check(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
+    return found
+
+
 def test_check_sees_blas_calls():
     src = (
         "import numpy as np\nfrom numpy import dot\na @ b\na @= b\n"
@@ -39,9 +67,16 @@ def test_check_sees_blas_calls():
 
 
 def test_package_makes_no_blas_call():
-    found = {}
-    for path in sorted(Path(dng.__file__).parent.glob("*.py")):
-        uses = _blas_uses(ast.parse(path.read_text(), filename=str(path)))
-        if uses:
-            found[path.name] = uses
-    assert found == {}
+    assert _package_findings(_blas_uses) == {}
+
+
+def test_check_sees_environment_reads():
+    src = (
+        "import os\nfrom os import environ, getenv\nos.environ['X']\n"
+        "os.getenv('X')\nos.environb\ngetenv('X')\nenviron.get('X')\nos.path\n"
+    )
+    assert len(_environment_reads(ast.parse(src))) == 7
+
+
+def test_package_reads_no_environment_variable():
+    assert _package_findings(_environment_reads) == {}
