@@ -81,15 +81,19 @@ def barnes_first_player_wins(g: Group) -> bool:
     """True iff some odd-order element generates g together with every involution.
 
     The quantifier over involutions is vacuous for groups without any.
+    <x, t> depends on x only through <x>, so one generator of each odd-order
+    cyclic subgroup is tried.
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
     orders = g.element_orders
     involutions = [t for t, k in enumerate(orders) if k == 2]
+    generator: dict[int, int] = {}
+    for x, (k, c) in enumerate(zip(orders, g.cyclic_masks)):
+        if k % 2:
+            generator.setdefault(c, x)
     full = g.full_mask
-    for x, k in enumerate(orders):
-        if k % 2 == 0:
-            continue
+    for x in generator.values():
         if all(closure_mask(g, 1 << x | 1 << t) == full for t in involutions):
             return True
     return False

@@ -19,6 +19,7 @@ from .errors import (
     LatticeGuardError,
     NonAbelianError,
     OracleBudgetError,
+    SolverConsistencyError,
     SpecSyntaxError,
     SpecValueError,
 )
@@ -31,9 +32,11 @@ EXIT_SPEC = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 
-#: Errors in a group spec (exit 2) and over a size budget (exit 3).
+#: Errors in a group spec (exit 2), over a size budget (exit 3) and in a
+#: cross-check between or inside the routes (exit 4).
 SPEC_ERRORS = (SpecSyntaxError, SpecValueError, NonAbelianError)
 BUDGET_ERRORS = (BudgetError, LatticeGuardError)
+RUN_ERRORS = SPEC_ERRORS + BUDGET_ERRORS + (SolverConsistencyError,)
 
 BUDGET_HELP = (
     "skip the oracle when the group has more positions (non-generating "
@@ -244,7 +247,7 @@ def _cmd_verify(args) -> int:
         try:
             g = build(spec, budget)
             report = analyze_group(g, no_oracle=args.no_oracle, oracle_budget=args.budget)
-        except SPEC_ERRORS + BUDGET_ERRORS as exc:
+        except RUN_ERRORS as exc:
             return _fail(exc, where)
         if not report.agreement:
             disagreements += 1
@@ -345,14 +348,16 @@ def _fail(exc: Exception, where: str | None = None) -> int:
     """Print ``error: [where: ]message`` and return the error's exit code."""
     prefix = f"{where}: " if where else ""
     print(f"error: {prefix}{exc}", file=sys.stderr)
-    return EXIT_SPEC if isinstance(exc, SPEC_ERRORS) else EXIT_BUDGET
+    if isinstance(exc, SPEC_ERRORS):
+        return EXIT_SPEC
+    return EXIT_BUDGET if isinstance(exc, BUDGET_ERRORS) else EXIT_DISAGREE
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SPEC_ERRORS + BUDGET_ERRORS as exc:
+    except RUN_ERRORS as exc:
         return _fail(exc)
 
 

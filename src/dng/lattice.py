@@ -10,7 +10,14 @@ walk, ``groups.join_element``, that multiplies by a generating set of the
 representative: its parent's generators and the seed that made it); a join
 not seen before is a new class, whose members are listed at once by
 conjugating with a generating set of g.  Since <H, hx> = <H, x> for h in H,
-a representative is joined with at most one seed per right coset.  A proper
+a representative is joined with at most one seed per right coset.  Joins
+whose result Lagrange's theorem fixes are skipped: when K contains H with
+prime index, no subgroup lies strictly between them, so <H, x> = K for every
+x in K \\ H.  A representative of prime index in g is therefore maximal with
+no join at all, a join that returns a K of prime index over H settles all of
+K, and so does every prime-index overgroup found before H's turn.  Those are
+the found subgroups of order |H|p that hold each generator of H, read off
+one bitset of found subgroups per order and one per generator.  A proper
 subgroup is maximal iff its join with every seed outside it is the whole
 group (an element outside H has a prime-power part outside H), and the
 maximal subgroups are the classes of the maximal representatives.  The
@@ -94,10 +101,15 @@ def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
     )
 
 
-def _is_prime_power(k: int) -> bool:
+def _least_prime(k: int) -> int:
     p = 2
     while k % p:
         p += 1
+    return p
+
+
+def _is_prime_power(k: int) -> bool:
+    p = _least_prime(k)
     while k % p == 0:
         k //= p
     return k == 1
@@ -118,26 +130,26 @@ def _seeds(g: Group) -> list[tuple[int, int]]:
 @per_group
 def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
     """All subgroups and the maximal ones, one conjugacy class at a time."""
-    full = g.full_mask
+    n, full = g.order, g.full_mask
     # joining a seed's generator joins the seed
     seeds = _seeds(g)
     # conjugation by a generating set of g, taken greedily from the seeds:
     # conj[h] is x*h*x^-1.  A central x fixes every subgroup, so its
     # conjugation is left out.
     conjugations: list[list[int]] = []
-    identity = list(range(g.order))
+    identity = list(range(n))
     span, span_gens = 1, []
     for c, x in seeds:
         if span == full:
             break
         if c & ~span:
             span = join_element(g, list(bits(span)), span_gens, x)
-            span_gens.append(x)
+            span_gens = [*span_gens, x]
             conj = g.table[:, g.inverses[x]][g.table[x]].tolist()
             if conj != identity:
                 conjugations.append(conj)
 
-    pow2 = [1 << x for x in range(g.order)]
+    pow2 = [1 << x for x in range(n)]
 
     def conjugacy_class(h: int) -> list[int]:
         orbit = [h]
@@ -152,38 +164,83 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
                     orbit.append(image)
         return orbit
 
+    # every prime dividing |g| is the order of an element (Cauchy)
+    primes = {k for k in set(g.element_orders) if k > 1 and _least_prime(k) == k}
+    seed_gens = mask_of(x for _, x in seeds)
     cols = g.columns
     found = {1, full}
+    # The proper nontrivial subgroups found so far, numbered as found: bit i
+    # of of_order[k] is set iff listed[i] has order k, and bit i of
+    # holding[z] iff listed[i] contains z.  Only the seed generators that
+    # some class representative's generating set uses are indexed.
+    listed: list[int] = []
+    of_order: dict[int, int] = {}
+    holding: dict[int, int] = {}
+    indexed = 0  # the keys of holding, as a mask
     # each class lists its members, representative first, and a generating
     # set of the representative: its parent's plus the seed that made it, at
     # most log2 of its order long
     classes: list[tuple[list[int], list[int]]] = [([1], [])]
     maximals: list[int] = []
     for orbit, gens in classes:  # grows while it is walked
-        members = list(bits(orbit[0]))
-        # <H, hx> = <H, x> for h in H: one join per right coset of H; the
-        # coset H itself adds nothing
-        done = bytearray(g.order)
-        for m in members:
-            done[m] = 1
-        maximal = True
-        for _, x in seeds:
-            if done[x]:
+        h = orbit[0]
+        k = h.bit_count()
+        if n // k in primes:  # a subgroup of prime index is maximal
+            maximals.extend(orbit)
+            continue
+        # the prime-index overgroups K of H found so far: the found subgroups
+        # of order |H|p that hold every generator of H.  <H, x> = K for every
+        # x in K, so those joins are known.
+        over = 0
+        for p in primes:
+            if n // k % p == 0:
+                over |= of_order.get(k * p, 0)
+        for z in gens:
+            over &= holding[z]
+        maximal = not over
+        todo = seed_gens & ~h
+        for i in bits(over):
+            todo &= ~listed[i]
+        members = list(bits(h))
+        # <H, hx> = <H, x> for h in H: one join per right coset of H
+        coset = bytearray(n)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            if coset[x]:
                 continue
             j = join_element(g, members, gens, x)
+            if j != full:
+                maximal = False
+                size = j.bit_count()
+                if j not in found:
+                    orbit_j = conjugacy_class(j)
+                    classes.append((orbit_j, [*gens, x]))
+                    found.update(orbit_j)
+                    if len(found) > SUBGROUP_GUARD:
+                        raise LatticeGuardError(
+                            f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
+                        )
+                    if not indexed >> x & 1:  # x generates a class from now on
+                        indexed |= 1 << x
+                        holding[x] = sum(
+                            1 << i for i, m in enumerate(listed) if m >> x & 1
+                        )
+                    start = len(listed)
+                    listed += orbit_j
+                    of_order[size] = of_order.get(size, 0) | (
+                        (1 << len(orbit_j)) - 1
+                    ) << start
+                    for i, m in enumerate(orbit_j, start):
+                        for z in bits(m & indexed):
+                            holding[z] |= 1 << i
+                if size // k in primes:  # <H, y> = j for every y in j
+                    todo &= ~j
+                    continue
             col = cols[x]
             for m in members:
-                done[col[m]] = 1
-            if j == full:
-                continue
-            maximal = False
-            if j not in found:
-                classes.append((conjugacy_class(j), [*gens, x]))
-                found.update(classes[-1][0])
-                if len(found) > SUBGROUP_GUARD:
-                    raise LatticeGuardError(
-                        f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
-                    )
+                coset[col[m]] = 1
         if maximal:
             maximals.extend(orbit)
     return _sorted_subgroups(found), _sorted_subgroups(maximals)
@@ -231,13 +288,6 @@ class MaximalIncidence:
         out = -1  # all ones
         for i in bits(inc):
             out &= self.maximals[i]
-        return out
-
-    def join(self, inc: int) -> int:
-        """Union of the maximal subgroups in an incidence."""
-        out = 0
-        for i in bits(inc):
-            out |= self.maximals[i]
         return out
 
 

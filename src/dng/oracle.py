@@ -61,8 +61,8 @@ MAX_BUDGET = 2**64
 
 #: Most cells a sweep may allocate, counted before the first allocation;
 #: above it the sweep raises OracleBudgetError whatever the budget.  Sweeps
-#: of ``Z40`` and ``Z2^5`` peak at 27 and 11 bytes per cell (tracemalloc), so
-#: this bounds a sweep near 120 MB.  Games within the default budget need at
+#: of ``Z40`` and ``Z2^5`` peak at 14 and 10 bytes per cell (tracemalloc), so
+#: this bounds a sweep near 60 MB.  Games within the default budget need at
 #: most half of it: on the catalog up to order 96 the most is ``Z40``,
 #: 1,048,832 cells, and ``Z2^5`` needs 2,031,616.
 MAX_CELLS = 2**22
@@ -124,11 +124,21 @@ def _winner_parities(seen: np.ndarray, size: int) -> np.ndarray:
     return np.where(seen == 0, _ONE << np.uint64(size % 2), seen)
 
 
-def _by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subsets 0..2^n-1 sorted by size, and where each size starts."""
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-    order = np.argsort(sizes, kind="stable")
-    return order, np.searchsorted(sizes[order], np.arange(n + 2))
+def _by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The size of each subset 0..2^n-1, the subsets sorted by size (stably),
+    and where each size starts.
+
+    The sort is written one level at a time into 32-bit ids, so no temporary
+    is larger than one byte per subset plus the largest level's ids.
+    """
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    order = np.empty(1 << n, dtype=np.int32)
+    starts = [0]
+    for s in range(n + 1):
+        level = np.flatnonzero(sizes == s)
+        order[starts[-1] : starts[-1] + len(level)] = level
+        starts.append(starts[-1] + len(level))
+    return sizes, order, np.array(starts)
 
 
 def _embed(subsets: np.ndarray, shared: int, elems: list[int]) -> np.ndarray:
@@ -171,9 +181,9 @@ def _sweep(
             f"{count} cells to sweep, over the cap of {MAX_CELLS}"
         )
     elems = [list(bits(f)) for f in free]
-    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if n not in levels:
             levels[n] = _by_level(n)
         return levels[n]
@@ -183,7 +193,7 @@ def _sweep(
     for i in range(len(free)):
         for j in range(i + 1, len(free)):
             shared = free[i] & free[j]
-            subsets, starts = by_level(shared.bit_count())
+            _, subsets, starts = by_level(shared.bit_count())
             ii = _embed(subsets, shared, elems[i])
             jj = _embed(subsets, shared, elems[j])
             owned[j][jj] = False
@@ -194,7 +204,7 @@ def _sweep(
             f"{positions} positions, over the budget of {budget}"
         )
     effort = sum(
-        int(np.bitwise_count(np.flatnonzero(o)).sum(dtype=np.int64)) for o in owned
+        int(by_level(len(f))[0][o].sum(dtype=np.int64)) for f, o in zip(elems, owned)
     )
 
     # maximals with the same number of free elements share one stack of rows
@@ -209,7 +219,7 @@ def _sweep(
         """Each stack with one chunk of its columns at this level at a time."""
         for n, stack in stacks.items():
             if level <= n:
-                order, starts = by_level(n)
+                _, order, starts = by_level(n)
                 at = order[starts[level] : starts[level + 1]]
                 width = max(1, CHUNK_CELLS // len(stack))
                 for lo in range(0, len(at), width):

@@ -19,7 +19,10 @@ The digraph is built in one numpy pass over word-packed incidences: the
 incidences of the nodes (``lattice.inclusion``) and of the elements
 (``lattice.maximal_incidence``) are rows of uint64 words, and the targets of
 a chunk of nodes are the distinct nonzero ANDs of each node's row with every
-element's row, looked up by a one-word key among the nodes' keys.  Types
+element's row, looked up by a one-word key among the nodes' keys.  A
+one-word incidence is its own key; a wider one is hashed to a word, with a
+fresh salt whenever two nodes' keys collide, and every target is checked
+word for word against the node its key names.  Types
 are solved through a memo on option sets: each type gets a one-hot id, a
 node's options are the OR of its successors' ids, and each distinct
 (parity, options) pair is solved once.
@@ -101,12 +104,31 @@ class SimplifiedDiagram:
     edges: tuple[tuple[int, int], ...]
 
 
-def _keys(inc: np.ndarray) -> np.ndarray:
-    """One uint64 key per row of packed incidence words: the sum, wrapping,
-    of each word times an odd multiplier, the first of which is 1, so a
-    one-word incidence is its own key."""
-    fold = [1] + [(0x9E3779B97F4A7C15 * w | 1) % 2**64 for w in range(1, inc.shape[-1])]
-    return (inc * np.array(fold, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+#: Salts the multi-word keys try before a collision of node keys raises.
+KEY_SALTS = 4
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer: a bijection of uint64 that spreads each bit
+    over every bit of the result."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _keys(inc: np.ndarray, salt: int = 0) -> np.ndarray:
+    """One uint64 key per row of packed incidence words.
+
+    A one-word incidence is its own key.  A wider one sums, wrapping, the
+    mix of each word XOR a per-word salt minus the mix of that salt, so the
+    empty incidence keys 0; ``salt`` picks the salts.
+    """
+    width = inc.shape[-1]
+    if width == 1:
+        return inc[..., 0]
+    step = np.arange(salt * width + 1, (salt + 1) * width + 1, dtype=np.uint64)
+    salts = _mix(step * np.uint64(0x9E3779B97F4A7C15))
+    return (_mix(inc ^ salts) - _mix(salts)).sum(axis=-1, dtype=np.uint64)
 
 
 def structure_digraph(g: Group) -> StructureDigraph:
@@ -128,10 +150,13 @@ def structure_digraph(g: Group) -> StructureDigraph:
     maximals = packed(incidence.maximals, g.order)
     node_inc = inclusion(packed([s.mask for s in nodes], g.order), maximals)
     elem_inc = packed(incidence.elements, len(incidence.maximals))
-    node_keys = _keys(node_inc)
-    by_key = np.argsort(node_keys)
-    sorted_keys = node_keys[by_key]
-    if sorted_keys[0] == 0 or np.any(sorted_keys[1:] == sorted_keys[:-1]):
+    for salt in range(KEY_SALTS):
+        node_keys = _keys(node_inc, salt)
+        by_key = np.argsort(node_keys)
+        sorted_keys = node_keys[by_key]
+        if sorted_keys[0] != 0 and not np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            break
+    else:
         raise SolverConsistencyError(
             f"the incidence keys of the {len(nodes)} intersection subgroups collide"
         )
@@ -141,7 +166,7 @@ def structure_digraph(g: Group) -> StructureDigraph:
     step = max(1, CHUNK_CELLS // elem_inc.size)
     for lo in range(0, len(nodes), step):
         inc = node_inc[lo : lo + step, None, :] & elem_inc  # (node, element, word)
-        keys = _keys(inc)
+        keys = _keys(inc, salt)
         at = np.argsort(keys, axis=1)
         keys = np.take_along_axis(keys, at, axis=1)
         # the first of each run of equal keys, neither 0 nor the node's own

@@ -470,8 +470,9 @@ def reference_solve_types(d: StructureDigraph) -> StructureDigraph:
 
 # ---------------------------------------------------------------------------
 # Reference generation queries: the power loop, the prime-power seeds found by
-# it and the k-subset closure search, as the library answered them before its
-# power table and its incidence search.
+# it, Barnes' criterion over every element and the k-subset closure search, as
+# the library answered them before its power table, its cyclic subgroups and
+# its incidence search.
 
 
 def reference_element_order(g: Group, x: int) -> int:
@@ -502,6 +503,20 @@ def reference_seeds(g: Group) -> list[tuple[int, int]]:
         if _is_prime_power(c.bit_count()):
             generator.setdefault(c, x)
     return sorted(generator.items())
+
+
+def reference_barnes_first_player_wins(g: Group) -> bool:
+    """Barnes' criterion by trying every odd-order element, not one
+    generator per cyclic subgroup."""
+    orders = g.element_orders
+    involutions = [t for t, k in enumerate(orders) if k == 2]
+    full = g.full_mask
+    for x, k in enumerate(orders):
+        if k % 2 == 0:
+            continue
+        if all(closure_mask(g, 1 << x | 1 << t) == full for t in involutions):
+            return True
+    return False
 
 
 def reference_min_generators(g: Group, cap: int = 3) -> int:

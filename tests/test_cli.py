@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from dng import lattice
+from dng import lattice, solver
 from dng.cli import CSV_COLUMNS, main
+from dng.errors import SolverConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +267,24 @@ def test_module_entry_point():
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [["analyze", "S3"], ["verify", "--no-oracle"]])
+def test_failed_cross_check_exit_4(capsys, monkeypatch, argv):
+    def inconsistent(g):
+        raise SolverConsistencyError("the type triples disagree")
+
+    monkeypatch.setattr(solver, "structure_digraph", inconsistent)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == "error: the type triples disagree\n"
+
+
+def test_analyze_wide_incidence(capsys):
+    # 128 maximal subgroups: the incidences take two words, and a lone bit 62
+    # or 63 of the second word must not key like the same bit of the first
+    code, out, _ = run_cli(capsys, "analyze", "D127", "--no-oracle")
+    assert code == 0
+    assert "solver: *3 nodes=129 edges=128" in out
+    assert "agreement: yes" in out

@@ -11,6 +11,7 @@ from _helpers import (
     by_order,
     d_or_cap,
     matrix_group_2x2,
+    reference_barnes_first_player_wins,
     reference_closure_mask,
     reference_cyclic_mask,
     reference_dicyclic_table,
@@ -36,7 +37,11 @@ from _helpers import (
 )
 from dng import oracle
 from dng.catalog import catalog_specs
-from dng.classify import is_nilpotent, real_element_disjunction
+from dng.classify import (
+    barnes_first_player_wins,
+    is_nilpotent,
+    real_element_disjunction,
+)
 from dng.errors import GeneratingSetError
 from dng.groups import (
     _perm_parity,
@@ -85,8 +90,17 @@ def test_lattice_pipeline_matches_reference(spec):
 
 
 #: Z2^6 x Z3 and D67 sit on both sides of the one-word incidence: 64 and 68
-#: maximal subgroups.
-SOLVER_SPECS = catalog_specs(96) + ["S6", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3", "D67"]
+#: maximal subgroups.  D127 and Dic127 (128 maximals, two words), D254 (3)
+#: and D359 (6) reach bits 62 and 63 of words past the first.
+SOLVER_SPECS = catalog_specs(96) + [
+    "S6",
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3",
+    "D67",
+    "D127",
+    "Dic127",
+    "D254",
+    "D359",
+]
 
 
 @pytest.mark.parametrize("spec", SOLVER_SPECS)
@@ -112,6 +126,8 @@ ENUMERATION_SPECS = catalog_specs(36) + [
     "S4 x S3",
     "Dih(Z2 x Z2 x Z2 x Z2 x Z3)",
     "Z2 x Z2 x Z2 x Z2 x Z2",
+    "Z3 x Z3 x Z3 x Z3",
+    "Z2 x Z2 x Z2 x Z2 x Z3",
     "GL(2,3)",
     "SL(2,3)",
 ]
@@ -346,3 +362,8 @@ def test_min_generators_matches_closure_search(catalog96, built):
         for cap in range(1, 5):
             expected = d if isinstance(d, int) and d <= cap else f">{cap}"
             assert d_or_cap(min_generators, g, cap) == expected, (name, cap)
+
+
+def test_barnes_over_cyclic_subgroups_matches_element_loop(catalog96, built):
+    for name, g in catalog96 + [("S5", built("S5"))]:
+        assert barnes_first_player_wins(g) == reference_barnes_first_player_wins(g), name

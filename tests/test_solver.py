@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from _helpers import digraph_to_json
+from dng import solver
 from dng.errors import SolverConsistencyError, TrivialGroupError
 from dng.groups import make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
@@ -10,6 +12,7 @@ from dng.lattice import (
     frattini,
     intersection_subgroups,
     maximal_subgroups,
+    packed,
 )
 from dng.solver import (
     SPECTRUM,
@@ -201,3 +204,34 @@ def test_type_multiset():
         "(1,1,0)": 1,
         "(1,3,2)": 1,
     }
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_one_hot_incidences_key_apart(width):
+    rows = packed([1 << b for b in range(64 * width)], 64 * width)
+    for salt in range(solver.KEY_SALTS):
+        keys = solver._keys(rows, salt)
+        assert 0 not in keys
+        assert len(set(keys.tolist())) == 64 * width
+        assert solver._keys(np.zeros((1, width), dtype=np.uint64), salt)[0] == 0
+
+
+def test_node_key_collision_takes_next_salt(monkeypatch):
+    g = build(parse_spec("D67"))  # 68 maximal subgroups: two-word keys
+    expected = structure_digraph(g).edges
+    keys = solver._keys
+
+    def colliding(inc, salt=0):
+        return np.ones(inc.shape[:-1], dtype=np.uint64) if salt == 0 else keys(inc, salt)
+
+    monkeypatch.setattr(solver, "_keys", colliding)
+    assert structure_digraph(g).edges == expected
+
+
+def test_node_key_collision_under_every_salt_raises(monkeypatch):
+    g = build(parse_spec("D67"))
+    monkeypatch.setattr(
+        solver, "_keys", lambda inc, salt=0: np.ones(inc.shape[:-1], dtype=np.uint64)
+    )
+    with pytest.raises(SolverConsistencyError, match="collide"):
+        structure_digraph(g)
