@@ -36,7 +36,6 @@ from .lattice import (
     IntersectionPoset,
     Subgroup,
     all_maximals_even,
-    all_maximals_odd,
     all_subgroups,
     even_maximals_cover,
     frattini,
@@ -44,13 +43,14 @@ from .lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from .oracle import OracleResult, Position, brute_nim, brute_nim_position, mex
+from .oracle import OracleResult, brute_nim, brute_nim_position
 from .solver import (
     SimplifiedDiagram,
     StructureDigraph,
     TypeTriple,
     emit_dot,
     game_nim,
+    mex,
     simplify,
     solve_types,
     structure_digraph,
@@ -65,14 +65,12 @@ __all__ = [
     "GroupSpec",
     "IntersectionPoset",
     "OracleResult",
-    "Position",
     "Rule",
     "SimplifiedDiagram",
     "StructureDigraph",
     "Subgroup",
     "TypeTriple",
     "all_maximals_even",
-    "all_maximals_odd",
     "all_subgroups",
     "barnes_first_player_wins",
     "brute_nim",

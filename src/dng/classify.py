@@ -159,15 +159,16 @@ def real_element_disjunction(g: Group, x: int) -> bool:
     k = element_order(g, x)
     if k % 2 == 0:
         raise ValueError("x must have odd order")
-    xinv = g.inv(x)
-    if not any(g.conj(t, x) == xinv for t in range(g.order)):
+    # inverting[t] iff t*x*t^-1 = x^-1
+    inverting = g.table[g.table[:, x], g.inverses] == g.inverses[x]
+    if not inverting.any():
         raise ValueError("x is not real")
     # a proper even subgroup lies in a maximal one, whose order is then even
     if any(m.is_even and x in m for m in maximal_subgroups(g)):
         return True
     if g.order == 2 * k:
-        for u in range(1, g.order):
-            if g.mul(u, u) == 0 and g.conj(u, x) == xinv:
+        for u in inverting.nonzero()[0].tolist():
+            if g.element_orders[u] == 2:  # an inverting involution
                 if closure_mask(g, 1 << x | 1 << u) == g.full_mask:
                     return True
     return False

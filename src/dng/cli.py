@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .catalog import catalog_specs
-from .classify import Classification, barnes_first_player_wins, classify
+from .classify import barnes_first_player_wins, classify
 from .errors import (
     BudgetError,
     GeneratorCapError,
@@ -45,112 +43,65 @@ BUDGET_HELP = (
 )
 
 
-@dataclass
-class AnalysisReport:
-    name: str
-    order: int
-    classification: Classification
-    solver_nim: int | None
-    solver_nodes: int | None
-    solver_edges: int | None
-    solver_types: dict[str, int] | None
-    oracle_nim: int | None
-    oracle_positions: int | None
-    oracle_effort: int | None
-    oracle_skipped: bool
-    agreement: bool
-
-    def to_json_dict(self) -> dict:
-        solver = None
-        if self.solver_nim is not None:
-            solver = {
-                "nim": self.solver_nim,
-                "nodes": self.solver_nodes,
-                "edges": self.solver_edges,
-                "types": self.solver_types,
-            }
-        if self.oracle_skipped:
-            oracle = {"skipped": "budget"}
-        elif self.oracle_nim is not None:
-            oracle = {
-                "nim": self.oracle_nim,
-                "positions": self.oracle_positions,
-                "effort": self.oracle_effort,
-            }
-        else:
-            oracle = None
-        return {
-            "format": "dng-analysis-v1",
-            "group": {"name": self.name, "order": self.order},
-            "classifier": self.classification.to_json_dict(),
-            "solver": solver,
-            "oracle": oracle,
-            "agreement": self.agreement,
-        }
-
-    def to_text(self) -> str:
-        lines = [f"group: {self.name} (order {self.order})"]
-        c = self.classification
-        lines.append(f"classifier: *{c.nim} rule={c.rule.value} outcome={c.outcome}")
-        if self.solver_nim is not None:
-            types = " ".join(f"{v}x{k}" for k, v in self.solver_types.items())
-            lines.append(
-                f"solver: *{self.solver_nim} nodes={self.solver_nodes} "
-                f"edges={self.solver_edges} types={types}"
-            )
-        if self.oracle_skipped:
-            lines.append("oracle: skipped(budget)")
-        elif self.oracle_nim is not None:
-            lines.append(
-                f"oracle: *{self.oracle_nim} positions={self.oracle_positions} "
-                f"effort={self.oracle_effort}"
-            )
-        lines.append(f"agreement: {'yes' if self.agreement else 'NO'}")
-        return "\n".join(lines) + "\n"
-
-
 def analyze_group(
     g: Group,
     *,
     fast: bool = False,
     no_oracle: bool = False,
     oracle_budget: int = oracle_mod.DEFAULT_BUDGET,
-) -> AnalysisReport:
-    cls = classify(g)
-    solver_nim = nodes = edges = None
-    types = None
+) -> dict:
+    """The ``dng-analysis-v1`` document: each route's result on g and whether
+    their nim-numbers agree.  A route that did not run is None."""
+    classifier = classify(g).to_json_dict()
+    solver = oracle = None
     if not fast:
         d = solver_mod.solve_types(solver_mod.structure_digraph(g))
-        solver_nim = d.types[d.source].nim_even
-        nodes, edges = len(d.nodes), len(d.edges)
-        types = solver_mod.type_multiset(d)
-    oracle_nim = positions = effort = None
-    skipped = False
+        solver = {
+            "nim": d.types[d.source].nim_even,
+            "nodes": len(d.nodes),
+            "edges": len(d.edges),
+            "types": solver_mod.type_multiset(d),
+        }
     if not no_oracle:
         try:
             res = oracle_mod.brute_nim(g, oracle_budget)
-            oracle_nim, positions, effort = res.nim, res.memo_size, res.effort
+            oracle = {"nim": res.nim, "positions": res.memo_size, "effort": res.effort}
         except OracleBudgetError:
-            skipped = True
-    nims = {cls.nim}
-    if solver_nim is not None:
-        nims.add(solver_nim)
-    if oracle_nim is not None:
-        nims.add(oracle_nim)
-    return AnalysisReport(
-        name=g.name,
-        order=g.order,
-        classification=cls,
-        solver_nim=solver_nim,
-        solver_nodes=nodes,
-        solver_edges=edges,
-        solver_types=types,
-        oracle_nim=oracle_nim,
-        oracle_positions=positions,
-        oracle_effort=effort,
-        oracle_skipped=skipped,
-        agreement=len(nims) == 1,
-    )
+            oracle = {"skipped": "budget"}
+    nims = {r["nim"] for r in (classifier, solver, oracle) if r and "nim" in r}
+    return {
+        "format": "dng-analysis-v1",
+        "group": {"name": g.name, "order": g.order},
+        "classifier": classifier,
+        "solver": solver,
+        "oracle": oracle,
+        "agreement": len(nims) == 1,
+    }
+
+
+def report_text(report: dict) -> str:
+    """The text form of a ``dng-analysis-v1`` document."""
+    group, c = report["group"], report["classifier"]
+    solver, oracle = report["solver"], report["oracle"]
+    lines = [
+        f"group: {group['name']} (order {group['order']})",
+        f"classifier: *{c['nim']} rule={c['rule']} outcome={c['outcome']}",
+    ]
+    if solver:
+        types = " ".join(f"{v}x{k}" for k, v in solver["types"].items())
+        lines.append(
+            f"solver: *{solver['nim']} nodes={solver['nodes']} "
+            f"edges={solver['edges']} types={types}"
+        )
+    if oracle and "skipped" in oracle:
+        lines.append(f"oracle: skipped({oracle['skipped']})")
+    elif oracle:
+        lines.append(
+            f"oracle: *{oracle['nim']} positions={oracle['positions']} "
+            f"effort={oracle['effort']}"
+        )
+    lines.append(f"agreement: {'yes' if report['agreement'] else 'NO'}")
+    return "\n".join(lines) + "\n"
 
 
 def _checked_spec(spec_text: str, budget: int) -> GroupSpec:
@@ -181,10 +132,10 @@ def _cmd_analyze(args) -> int:
         oracle_budget=args.budget,
     )
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        print(report.to_text(), end="")
-    return EXIT_OK if report.agreement else EXIT_DISAGREE
+        print(report_text(report), end="")
+    return EXIT_OK if report["agreement"] else EXIT_DISAGREE
 
 
 def _cmd_diagram(args) -> int:
@@ -238,8 +189,9 @@ def _cmd_verify(args) -> int:
             specs.append((where, name, _checked_spec(name, budget)))
         except SPEC_ERRORS + BUDGET_ERRORS as exc:
             return _fail(exc, where)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # each row is written as its group finishes: after an error, stdout
+    # holds the header and the rows before the failing group
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     disagreements = 0
     for where, name, spec in specs:
@@ -249,26 +201,27 @@ def _cmd_verify(args) -> int:
             report = analyze_group(g, no_oracle=args.no_oracle, oracle_budget=args.budget)
         except RUN_ERRORS as exc:
             return _fail(exc, where)
-        if not report.agreement:
+        if not report["agreement"]:
             disagreements += 1
         try:
             d = str(min_generators(g))
         except GeneratorCapError as exc:
             d = f">{exc.cap}"
         winner = "first" if barnes_first_player_wins(g) else "second"
+        c, oracle = report["classifier"], report["oracle"]
         writer.writerow(
             [
                 name,
                 g.order,
-                report.classification.nim,
-                report.classification.rule.value,
-                report.solver_nim,
-                "skipped" if report.oracle_skipped else report.oracle_nim,
+                c["nim"],
+                c["rule"],
+                report["solver"]["nim"],
+                oracle and oracle.get("nim", "skipped"),  # None: an empty cell
                 winner,
                 d,
             ]
         )
-    sys.stdout.write(out.getvalue())
+        sys.stdout.flush()  # a pipe gets the row now, not at exit
     print(f"{len(specs)} groups, {disagreements} disagreements", file=sys.stderr)
     return EXIT_DISAGREE if disagreements else EXIT_OK
 

@@ -69,16 +69,6 @@ class Group:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
-
-    def conj(self, t: int, x: int) -> int:
-        """Conjugate t*x*t^-1."""
-        return int(self.table[self.table[t, x], self.inverses[t]])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group({self.name!r}, order={self.order})"
 
@@ -278,50 +268,45 @@ def _subgroup_mask(arg) -> int:
     return mask
 
 
+def _membership(g: Group, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The element ids set in ``mask``, ascending, and one flag per element."""
+    raw = np.frombuffer(mask.to_bytes(-(-g.order // 8), "little"), dtype=np.uint8)
+    inside = np.unpackbits(raw, count=g.order, bitorder="little").view(bool)
+    return np.flatnonzero(inside), inside
+
+
 def is_normal(g: Group, sub) -> bool:
     """True iff x*N*x^-1 = N for every x in g."""
-    mask = _subgroup_mask(sub)
-    members = list(bits(mask))
-    for x in range(g.order):
-        for m in members:
-            if not mask >> g.conj(x, m) & 1:
-                return False
-    return True
+    members, inside = _membership(g, _subgroup_mask(sub))
+    # row x holds x*m*x^-1 for each member m
+    return bool(inside[g.table[g.table[:, members], g.inverses[:, None]]].all())
 
 
-def coset_ids(g: Group, sub) -> list[int]:
-    """Map each element to the id of its left coset; identity coset is 0."""
-    mask = _subgroup_mask(sub)
-    members = list(bits(mask))
-    cos = [-1] * g.order
-    nxt = 0
-    for x in range(g.order):
-        if cos[x] >= 0:
-            continue
-        for m in members:
-            cos[g.mul(x, m)] = nxt
-        nxt += 1
-    return cos
+def coset_ids(g: Group, sub) -> np.ndarray:
+    """Map each element to the id of its left coset; identity coset is 0.
+
+    Cosets are numbered by their least elements, ascending; row x of
+    ``table[:, members]`` is the coset xN.
+    """
+    members, _ = _membership(g, _subgroup_mask(sub))
+    least = g.table[:, members].min(axis=1)
+    return np.unique(least, return_inverse=True)[1]
 
 
 def quotient(g: Group, sub) -> Group:
     """Quotient group on cosets of a normal subgroup."""
     mask = _subgroup_mask(sub)
-    if not mask & 1 or closure_mask(g, mask) != mask:
+    members, inside = _membership(g, mask)
+    # a finite set that holds the identity and its products is a subgroup
+    if not inside[0] or not inside[g.table[np.ix_(members, members)]].all():
         raise ValueError("quotient divisor is not a subgroup")
     if not is_normal(g, mask):
         raise NotNormalError("quotient divisor is not normal")
     cos = coset_ids(g, mask)
-    k = mask.bit_count()
-    q = g.order // k
-    reps = [-1] * q
-    for x in range(g.order - 1, -1, -1):
-        reps[cos[x]] = x
-    t = np.empty((q, q), dtype=np.int32)
-    for i in range(q):
-        for j in range(q):
-            t[i, j] = cos[g.mul(reps[i], reps[j])]
-    return Group.from_table(t, f"{g.name}/N{k}", check_associativity=True)
+    # the least element of each coset, in coset order
+    reps = np.unique(cos, return_index=True)[1]
+    t = cos[g.table[reps][:, reps]]
+    return Group.from_table(t, f"{g.name}/N{mask.bit_count()}", check_associativity=True)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,11 @@ from .groups import Group, bits, element_order, join_element, mask_of
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
 
-#: Cells per numpy temporary in the packed-word passes (``inclusion`` and the
-#: structure digraph's edges), which keeps each temporary near 256 KB.
-CHUNK_CELLS = 1 << 15
+#: Cells per numpy temporary in the packed-word passes (``inclusion``, the
+#: structure digraph's edges and the oracle's sweep): 64 KiB of uint64, below
+#: glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
+#: memory instead of faulting in fresh pages.
+CHUNK_CELLS = 2**13
 
 
 @dataclass(frozen=True, order=True)
@@ -395,10 +397,6 @@ def even_maximals_cover(g: Group) -> bool:
 
 def all_maximals_even(g: Group) -> bool:
     return all(m.is_even for m in maximal_subgroups(g))
-
-
-def all_maximals_odd(g: Group) -> bool:
-    return all(not m.is_even for m in maximal_subgroups(g))
 
 
 def largest_odd_normal_in_frattini(g: Group) -> Subgroup:

@@ -46,7 +46,7 @@ from .errors import (
     SolverConsistencyError,
 )
 from .groups import Group, bits
-from .lattice import class_sizes, maximal_incidence, maximal_subgroups
+from .lattice import CHUNK_CELLS, class_sizes, maximal_incidence, maximal_subgroups
 
 #: Default cap on the number of positions (non-generating subsets) a full
 #: sweep may value, decided before sweeping; larger games fall back to
@@ -67,37 +67,12 @@ MAX_BUDGET = 2**64
 #: 1,048,832 cells, and ``Z2^5`` needs 2,031,616.
 MAX_CELLS = 2**22
 
-#: Cells per numpy temporary of the sweep: 64 KiB of uint64, below glibc's
-#: default mmap threshold of 128 KiB, so the temporaries reuse heap memory
-#: instead of faulting in fresh pages.
-CHUNK_CELLS = 2**13
-
-
-@dataclass(frozen=True)
-class Position:
-    """A non-generating subset of the group, as a bitmask of element ids."""
-
-    chosen: int
-
-    @property
-    def parity(self) -> int:
-        return self.chosen.bit_count() % 2
-
 
 @dataclass
 class OracleResult:
     nim: int
     memo_size: int
     effort: int
-
-
-def mex(values) -> int:
-    """Least nonnegative integer absent from ``values``."""
-    s = set(values)
-    m = 0
-    while m in s:
-        m += 1
-    return m
 
 
 _ONE = np.uint64(1)
@@ -302,26 +277,25 @@ def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     return table
 
 
-def brute_nim_position(g: Group, p, budget: int = DEFAULT_BUDGET) -> int:
-    """Nim-number of an arbitrary position (bitmask or Position).
+def brute_nim_position(g: Group, p: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Nim-number of an arbitrary position, given as a bitmask.
 
     Raises OracleBudgetError before sweeping when some maximal subgroup M
     containing p has 2^(|M| - |p|) > ``budget``: every subset of M that
     contains p is a position below p.  The sweep itself raises it when the
     positions below p, counted exactly, exceed ``budget``.
     """
-    mask = p.chosen if isinstance(p, Position) else p
     incidence = maximal_incidence(g)
-    inc = incidence.of(mask)
+    inc = incidence.of(p)
     if not inc:
         raise GeneratingSetError("the set generates the whole group")
     top = max(incidence.maximals[i].bit_count() for i in bits(inc))
-    if 1 << (top - mask.bit_count()) > budget:
+    if 1 << (top - p.bit_count()) > budget:
         raise OracleBudgetError(
-            f"at least 2^{top - mask.bit_count()} positions below this one, "
+            f"at least 2^{top - p.bit_count()} positions below this one, "
             f"over the budget of {budget}"
         )
-    return _sweep(g, mask, budget, _mex_bit).base.bit_length() - 1
+    return _sweep(g, p, budget, _mex_bit).base.bit_length() - 1
 
 
 def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:

@@ -46,7 +46,6 @@ from .lattice import (
     maximal_incidence,
     packed,
 )
-from .oracle import mex
 
 
 @dataclass(frozen=True, order=True)
@@ -102,6 +101,15 @@ class SimplifiedDiagram:
 
     nodes: tuple[SimplifiedNode, ...]
     edges: tuple[tuple[int, int], ...]
+
+
+def mex(values) -> int:
+    """Least nonnegative integer absent from ``values``."""
+    s = set(values)
+    m = 0
+    while m in s:
+        m += 1
+    return m
 
 
 #: Salts the multi-word keys try before a collision of node keys raises.

@@ -10,7 +10,6 @@ from dng.groups import (
     bits,
     closure_mask,
     element_order,
-    is_normal,
     join_element,
     mask_of,
 )
@@ -23,8 +22,7 @@ from dng.lattice import (
     maximal_incidence,
     maximal_subgroups,
 )
-from dng.oracle import mex
-from dng.solver import StructureDigraph, TypeTriple
+from dng.solver import StructureDigraph, TypeTriple, mex
 
 
 def brute_force_subgroup_masks(g: Group) -> set[int]:
@@ -35,11 +33,11 @@ def brute_force_subgroup_masks(g: Group) -> set[int]:
     """
     n = g.order
     assert n <= 12
-    members_of = [list(range(n))]
+    t = g.table.tolist()
     found = set()
     for mask in range(1, 1 << n, 2):  # bit 0 (identity) always set
         members = [x for x in range(n) if mask >> x & 1]
-        if all(mask >> g.mul(a, b) & 1 for a in members for b in members):
+        if all(mask >> t[a][b] & 1 for a in members for b in members):
             found.add(mask)
     return found
 
@@ -398,23 +396,60 @@ def reference_largest_odd_normal_in_frattini(g: Group) -> int:
             continue
         if s.order % 2 == 0 or s.order <= best.bit_count():
             continue
-        if is_normal(g, s.mask):
+        if reference_is_normal(g, s.mask):
             best = s.mask
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference quotient arithmetic: one table lookup at a time, as the library
+# did before its whole-table gathers.
+
+
+def reference_is_normal(g: Group, mask: int) -> bool:
+    """True iff x*m*x^-1 lies in the subgroup for every x in g and m in it."""
+    t = g.table.tolist()
+    inv = g.inverses.tolist()
+    members = list(bits(mask))
+    return all(mask >> t[t[x][m]][inv[x]] & 1 for x in range(g.order) for m in members)
+
+
+def reference_coset_ids(g: Group, mask: int) -> list[int]:
+    """Coset ids by a scan: the coset of each element not yet numbered gets
+    the next id."""
+    t = g.table.tolist()
+    cos = [-1] * g.order
+    nxt = 0
+    for x in range(g.order):
+        if cos[x] < 0:
+            for m in bits(mask):
+                cos[t[x][m]] = nxt
+            nxt += 1
+    return cos
+
+
+def reference_quotient_table(g: Group, mask: int) -> list[list[int]]:
+    """The quotient's table entry by entry, on the least element of each coset."""
+    t = g.table.tolist()
+    cos = reference_coset_ids(g, mask)
+    reps = [cos.index(i) for i in range(max(cos) + 1)]
+    return [[cos[t[a][b]] for b in reps] for a in reps]
 
 
 def reference_real_element_disjunction(g: Group, x: int) -> bool:
     """For a real odd-order x: some proper even subgroup contains x, or g is
     the dihedral extension of <x>."""
     k = element_order(g, x)
-    xinv = g.inv(x)
+    t = g.table.tolist()
+    xinv = int(g.inverses[x])
     full = g.full_mask
     for s in all_subgroups(g):
         if s.mask != full and s.order % 2 == 0 and x in s:
             return True
     if g.order == 2 * k:
         for u in range(1, g.order):
-            if g.mul(u, u) == 0 and g.conj(u, x) == xinv:
+            # u*x*u^-1 = u*x*u for an involution u
+            if t[u][u] == 0 and t[t[u][x]][u] == xinv:
                 if closure_mask(g, 1 << x | 1 << u) == full:
                     return True
     return False
@@ -480,7 +515,7 @@ def reference_element_order(g: Group, x: int) -> int:
     k = 1
     y = x
     while y != 0:
-        y = g.mul(y, x)
+        y = int(g.table[y, x])
         k += 1
     return k
 
@@ -491,7 +526,7 @@ def reference_cyclic_mask(g: Group, x: int) -> int:
     y = x
     while y != 0:
         mask |= 1 << y
-        y = g.mul(y, x)
+        y = int(g.table[y, x])
     return mask
 
 

@@ -153,7 +153,7 @@ def test_real_element_inside_big_dihedral():
 
 def test_real_element_preconditions():
     s3 = make_symmetric(3)
-    t = next(i for i in range(1, 6) if s3.mul(i, i) == 0)
+    t = next(i for i in range(1, 6) if s3.table[i, i] == 0)
     with pytest.raises(ValueError):
         real_element_disjunction(s3, t)  # even order
     with pytest.raises(ValueError):

@@ -10,6 +10,10 @@ from dng import lattice, solver
 from dng.cli import CSV_COLUMNS, main
 from dng.errors import SolverConsistencyError
 
+VERIFY_HEADER = ",".join(CSV_COLUMNS) + "\n"
+#: The survey row of S3 without the oracle column.
+S3_ROW = "S3,6,3,Fallthrough3,3,,first,2\n"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -179,7 +183,8 @@ def test_verify_catalog_unbuildable_line_number(tmp_path, capsys):
     f.write_text("S3\nDih(S3)\n")
     code, out, err = run_cli(capsys, "verify", "--catalog", str(f), "--no-oracle")
     assert code == 2
-    assert out == ""
+    # rows are written as their groups finish
+    assert out == VERIFY_HEADER + S3_ROW
     assert err == f"error: {f}:2: Dih argument S3 is not abelian\n"
 
 
@@ -205,7 +210,7 @@ def test_verify_catalog_lattice_guard_line_number(tmp_path, capsys, monkeypatch)
     f.write_text("S3\nZ2 x Z2 x Z2\n")
     code, out, err = run_cli(capsys, "verify", "--catalog", str(f), "--no-oracle")
     assert code == 3
-    assert out == ""
+    assert out == VERIFY_HEADER + S3_ROW
     assert err == f"error: {f}:2: more than 10 subgroups in Z2 x Z2 x Z2\n"
 
 
@@ -277,7 +282,8 @@ def test_failed_cross_check_exit_4(capsys, monkeypatch, argv):
     monkeypatch.setattr(solver, "structure_digraph", inconsistent)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
-    assert out == ""
+    # verify has written its header before the first group fails
+    assert out == ("" if argv[0] == "analyze" else VERIFY_HEADER)
     assert err == "error: the type triples disagree\n"
 
 

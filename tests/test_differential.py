@@ -13,6 +13,7 @@ from _helpers import (
     matrix_group_2x2,
     reference_barnes_first_player_wins,
     reference_closure_mask,
+    reference_coset_ids,
     reference_cyclic_mask,
     reference_dicyclic_table,
     reference_digraph_edges,
@@ -21,6 +22,7 @@ from _helpers import (
     reference_intersection_masks,
     reference_inverses,
     reference_is_nilpotent,
+    reference_is_normal,
     reference_join_mask,
     reference_lattice_dot,
     reference_largest_odd_normal_in_frattini,
@@ -28,6 +30,7 @@ from _helpers import (
     reference_min_generators,
     reference_outcome_check,
     reference_perm_table,
+    reference_quotient_table,
     reference_real_element_disjunction,
     reference_seeds,
     reference_smallest_intersection,
@@ -35,7 +38,7 @@ from _helpers import (
     reference_structure_digraph,
     reference_subgroup_masks,
 )
-from dng import oracle
+from dng import lattice, oracle, solver
 from dng.catalog import catalog_specs
 from dng.classify import (
     barnes_first_player_wins,
@@ -47,14 +50,17 @@ from dng.groups import (
     _perm_parity,
     bits,
     closure_mask,
+    coset_ids,
     element_order,
     is_cyclic,
+    is_normal,
     join_mask,
     make_alternating,
     make_cyclic,
     make_dicyclic,
     make_symmetric,
     min_generators,
+    quotient,
 )
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
@@ -151,6 +157,24 @@ def test_enumeration_matches_coset_fixpoint(spec):
 def test_lattice_dot_matches_reference(spec):
     g = build(parse_spec(spec))
     assert lattice_dot(g) == reference_lattice_dot(g)
+
+
+#: D127 has 128 maximal subgroups: its incidences take two words.
+CHUNK_SPECS = ["S4", "Z2 x Z2 x Z2 x Z2", "A4 x Z2", "D127"]
+
+
+@pytest.mark.parametrize("spec", CHUNK_SPECS)
+def test_packed_chunk_boundaries_match_reference(monkeypatch, built, spec):
+    g = built(spec)
+    ref = reference_structure_digraph(g)
+    dot = reference_lattice_dot(g)
+    # chunks of one or three cells split the rows of every packed pass
+    for chunk in [1, 3]:
+        for module in (lattice, solver):
+            monkeypatch.setattr(module, "CHUNK_CELLS", chunk)
+        d = structure_digraph(g)
+        assert (d.nodes, d.edges) == (ref.nodes, ref.edges), chunk
+        assert lattice_dot(g) == dot, chunk
 
 
 @pytest.mark.parametrize(
@@ -316,10 +340,23 @@ def test_predicates_match_lattice_scans(spec):
     )
     if g.order <= 2:
         return
+    t, inv = g.table.tolist(), g.inverses.tolist()
     for x in range(g.order):
-        xinv = g.inv(x)
-        if element_order(g, x) % 2 and any(g.conj(t, x) == xinv for t in range(g.order)):
+        real = any(t[t[u][x]][inv[u]] == inv[x] for u in range(g.order))
+        if element_order(g, x) % 2 and real:
             assert real_element_disjunction(g, x) == reference_real_element_disjunction(g, x)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(36) + ["A4 x Z2 x Z2", "S4 x S3", "S5"])
+def test_quotient_gathers_match_scalar_loops(spec, built):
+    g = built(spec)
+    for s in all_subgroups(g):
+        normal = reference_is_normal(g, s.mask)
+        assert is_normal(g, s.mask) == normal
+        if normal:
+            assert coset_ids(g, s.mask).tolist() == reference_coset_ids(g, s.mask)
+            q = quotient(g, s.mask)
+            assert q.table.tolist() == reference_quotient_table(g, s.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dng.lattice import frattini
 
 
 def involutions(g):
-    return [x for x in range(1, g.order) if g.mul(x, x) == 0]
+    return [x for x in range(1, g.order) if g.table[x, x] == 0]
 
 
 def test_cyclic_trivial():
@@ -42,7 +42,7 @@ def test_columns_share_one_int_per_id():
 
 def test_cyclic_table():
     g = make_cyclic(4)
-    assert g.mul(1, 3) == 0
+    assert g.table[1, 3] == 0
     assert involutions(g) == [2]
 
 
@@ -178,6 +178,13 @@ def test_quotient_rejects_non_normal():
         quotient(s3, closure_mask(s3, 1 << t))
 
 
+@pytest.mark.parametrize("mask", [0, 0b110, 0b1011])
+def test_quotient_rejects_non_subgroup(mask):
+    # the empty set, a set without the identity (id 0), a set not closed
+    with pytest.raises(ValueError, match="not a subgroup"):
+        quotient(make_symmetric(3), mask)
+
+
 def test_quotient_projection_is_homomorphism():
     for spec in ["Z18 x Z2", "Dic3", "A4"]:
         g = build(parse_spec(spec))
@@ -188,7 +195,7 @@ def test_quotient_projection_is_homomorphism():
         proj = coset_ids(g, sub)
         for a in range(g.order):
             for b in range(g.order):
-                assert proj[g.mul(a, b)] == q.mul(proj[a], proj[b])
+                assert proj[g.table[a, b]] == q.table[proj[a], proj[b]]
 
 
 def test_element_order_identity_and_generator():
@@ -230,11 +237,12 @@ def test_group_axioms_exhaustively(spec):
     assert np.array_equal(g.table[0], ids) and np.array_equal(g.table[:, 0], ids)
     assert np.array_equal(np.sort(g.table, axis=1), np.broadcast_to(ids, (n, n)))
     assert np.array_equal(np.sort(g.table, axis=0), np.broadcast_to(ids[:, None], (n, n)))
-    assert all(g.mul(x, g.inv(x)) == 0 for x in range(n))
+    t = g.table.tolist()
+    assert all(t[x][g.inverses[x]] == 0 for x in range(n))
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+                assert t[t[a][b]][c] == t[a][t[b][c]]
 
 
 def test_from_table_rejects_bad_tables():

@@ -14,7 +14,6 @@ from dng.groupspec import build, parse_spec
 from dng import lattice
 from dng.lattice import (
     all_maximals_even,
-    all_maximals_odd,
     all_subgroups,
     even_maximals_cover,
     frattini,
@@ -179,7 +178,6 @@ def test_smallest_intersection_rejects_generating_set():
 def test_covering_predicates():
     assert even_maximals_cover(build(parse_spec("Z2 x Z3 x Z3")))
     assert not even_maximals_cover(make_symmetric(3))
-    assert all_maximals_odd(make_cyclic(3))
     assert all_maximals_even(make_cyclic(4))
 
 

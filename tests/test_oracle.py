@@ -18,13 +18,12 @@ from dng.lattice import (
     smallest_intersection_containing,
 )
 from dng.oracle import (
-    Position,
     brute_nim,
     brute_nim_position,
     brute_nim_table,
-    mex,
     strategy_free_outcome_check,
 )
+from dng.solver import mex
 
 
 @pytest.mark.parametrize(
@@ -161,7 +160,7 @@ def test_position_empty_equals_game():
 
 
 def test_position_identity_in_s3():
-    assert brute_nim_position(make_symmetric(3), Position(1)) == 2
+    assert brute_nim_position(make_symmetric(3), 1) == 2
 
 
 def test_full_odd_maximal_is_terminal():

@@ -1,10 +1,12 @@
 """Source checks: the package makes no BLAS call and reads no environment
-variable.
+variable, and the structure solver does not import the oracle.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
 value read from the environment would be an option that no test or
-benchmark sets, so tuning constants stay constants.
+benchmark sets, so tuning constants stay constants.  The solver and the
+oracle are two of the three independent routes to the nim-number, so neither
+may lean on the other's code.
 """
 
 import ast
@@ -80,3 +82,33 @@ def test_check_sees_environment_reads():
 
 def test_package_reads_no_environment_variable():
     assert _package_findings(_environment_reads) == {}
+
+
+def _oracle_imports(tree: ast.AST) -> list[str]:
+    """Imports of the package's ``oracle`` module, or of names from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "oracle" for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_check_sees_oracle_imports():
+    src = (
+        "from .oracle import mex\nfrom . import oracle\nimport dng.oracle\n"
+        "from dng.oracle import brute_nim\nfrom dng import oracle as o\n"
+        "from .lattice import packed\nfrom . import solver\n"
+    )
+    assert len(_oracle_imports(ast.parse(src))) == 5
+
+
+def test_solver_imports_nothing_from_the_oracle():
+    path = Path(dng.__file__).parent / "solver.py"
+    assert _oracle_imports(ast.parse(path.read_text(), filename=str(path))) == []
