@@ -6,7 +6,7 @@ base position p, the sweep keeps one numpy array over the subsets of M minus
 p, indexed by a local bitmask: bit b stands for the b-th element of M \\ p.
 The arrays of the maximals with the same number of free elements are the
 rows of one 2-D stack.  A cell holds the nim-number of its position as a
-one-hot ``uint64``, so a seen-set is the OR of its children's cells and the
+one-hot ``uint8``, so a seen-set is the OR of its children's cells and the
 mex is its lowest clear bit.  The arrays are filled one size level at a
 time, from |M| down to p, and each level of a stack a chunk of columns at a
 time, so that no numpy temporary reaches glibc's mmap threshold:
@@ -36,6 +36,7 @@ number of positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -61,8 +62,8 @@ MAX_BUDGET = 2**64
 
 #: Most cells a sweep may allocate, counted before the first allocation;
 #: above it the sweep raises OracleBudgetError whatever the budget.  Sweeps
-#: of ``Z40`` and ``Z2^5`` peak at 14 and 10 bytes per cell (tracemalloc), so
-#: this bounds a sweep near 60 MB.  Games within the default budget need at
+#: of ``Z40`` and ``Z2^5`` peak at 7.1 and 3.3 bytes per cell (tracemalloc),
+#: so this bounds a sweep near 30 MB.  Games within the default budget need at
 #: most half of it: on the catalog up to order 96 the most is ``Z40``,
 #: 1,048,832 cells, and ``Z2^5`` needs 2,031,616.
 MAX_CELLS = 2**22
@@ -75,20 +76,21 @@ class OracleResult:
     effort: int
 
 
-_ONE = np.uint64(1)
-_LOW63 = np.uint64(2**63 - 1)
+_ONE = np.uint8(1)
+_LOW7 = np.uint8(0x7F)
 
 
 def _mex_bit(seen: np.ndarray, size: int) -> np.ndarray:
     """One-hot mex of each seen-set: its lowest clear bit.
 
-    A mex of 63 or more has no room to be seen by a parent in 64 bits, so it
-    raises SolverConsistencyError instead of wrapping.
+    A mex of 7 or more has no room to be seen by a parent in 8 bits, so it
+    raises SolverConsistencyError instead of wrapping.  No position of any
+    group gets there: the structure-class types have nim-numbers up to 3.
     """
-    if np.any((seen & _LOW63) == _LOW63):
+    if np.any((seen & _LOW7) == _LOW7):
         raise SolverConsistencyError(
-            f"a position of size {size} has nim-number 63 or more, "
-            "past the 64-bit seen-sets"
+            f"a position of size {size} has nim-number 7 or more, "
+            "past the 8-bit seen-sets"
         )
     return ~seen & (seen + _ONE)
 
@@ -96,23 +98,33 @@ def _mex_bit(seen: np.ndarray, size: int) -> np.ndarray:
 def _winner_parities(seen: np.ndarray, size: int) -> np.ndarray:
     """Bit k set iff some line of play from the position ends at a size of
     parity k; a position with no children is terminal."""
-    return np.where(seen == 0, _ONE << np.uint64(size % 2), seen)
+    return np.where(seen == 0, _ONE << np.uint8(size % 2), seen)
 
 
 def _by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The size of each subset 0..2^n-1, the subsets sorted by size (stably),
     and where each size starts.
 
-    The sort is written one level at a time into 32-bit ids, so no temporary
-    is larger than one byte per subset plus the largest level's ids.
+    Both are built by doubling, one element k at a time, with each level
+    growing inside its final run of ``order``: the subsets of size s over
+    k + 1 elements are those over k elements, then those of size s - 1 with
+    element k added, and both runs are ascending.
     """
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    order = np.empty(1 << n, dtype=np.int32)
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    order = np.zeros(1 << n, dtype=np.int32)  # order[0] is the empty set
     starts = [0]
     for s in range(n + 1):
-        level = np.flatnonzero(sizes == s)
-        order[starts[-1] : starts[-1] + len(level)] = level
-        starts.append(starts[-1] + len(level))
+        starts.append(starts[-1] + comb(n, s))
+    ends = [1] + starts[1:-1]  # level s over k elements ends at ends[s]
+    for k in range(n):
+        half = 1 << k
+        np.add(sizes[:half], _ONE, out=sizes[half : 2 * half])
+        for s in range(k + 1, 0, -1):  # from the top: ends[s - 1] is still k's
+            grown = ends[s] + ends[s - 1] - starts[s - 1]
+            np.bitwise_or(
+                order[starts[s - 1] : ends[s - 1]], half, out=order[ends[s] : grown]
+            )
+            ends[s] = grown
     return sizes, order, np.array(starts)
 
 
@@ -184,7 +196,7 @@ def _sweep(
 
     # maximals with the same number of free elements share one stack of rows
     stacks = {
-        n: np.zeros((sum(len(f) == n for f in elems), 1 << n), dtype=np.uint64)
+        n: np.zeros((sum(len(f) == n for f in elems), 1 << n), dtype=np.uint8)
         for n in sorted(set(map(len, elems)))
     }
     rows = {n: iter(stack) for n, stack in stacks.items()}
@@ -203,7 +215,7 @@ def _sweep(
     size = base.bit_count()
     for level in range(max(stacks), -1, -1):
         for n, stack, part in chunks(level):
-            seen = np.zeros((len(stack), len(part)), dtype=np.uint64)
+            seen = np.zeros((len(stack), len(part)), dtype=np.uint8)
             # a child that adds an element already in the subset is the
             # subset itself, whose cell is still 0
             for b in range(n):

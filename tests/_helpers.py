@@ -295,6 +295,19 @@ def reference_perm_table(perms: list[tuple]) -> list[list[int]]:
     return [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
 
 
+def reference_by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's level order as it was first built: the popcount of every
+    subset, then one full-array pass per size for the subsets of that size."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    order = np.empty(1 << n, dtype=np.int32)
+    starts = [0]
+    for s in range(n + 1):
+        level = np.flatnonzero(sizes == s)
+        order[starts[-1] : starts[-1] + len(level)] = level
+        starts.append(starts[-1] + len(level))
+    return sizes, order, np.array(starts)
+
+
 # ---------------------------------------------------------------------------
 # Reference oracle: the memoised game-tree search that scans every maximal
 # subgroup at every position for its legal moves, as the library did before

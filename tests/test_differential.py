@@ -12,6 +12,7 @@ from _helpers import (
     d_or_cap,
     matrix_group_2x2,
     reference_barnes_first_player_wins,
+    reference_by_level,
     reference_closure_mask,
     reference_coset_ids,
     reference_cyclic_mask,
@@ -246,11 +247,34 @@ def _maximal_masks(g):
     return [m.mask for m in maximal_subgroups(g)]
 
 
+@pytest.fixture(scope="module")
+def searched(built):
+    """The reference search of a spec's game, run from the empty set once per
+    module, so its memo holds every position: ``searched("S3")``."""
+    refs = {}
+
+    def get(spec):
+        if spec not in refs:
+            refs[spec] = ReferenceSearch(_maximal_masks(built(spec)))
+            refs[spec].nim(0)
+        return refs[spec]
+
+    return get
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_by_level_matches_reference(n):
+    sizes, order, starts = oracle._by_level(n)
+    ref_sizes, ref_order, ref_starts = reference_by_level(n)
+    assert sizes.dtype == ref_sizes.dtype and order.dtype == ref_order.dtype
+    assert sizes.tolist() == ref_sizes.tolist()
+    assert order.tolist() == ref_order.tolist()
+    assert starts.tolist() == ref_starts.tolist()
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_oracle_matches_reference_search(spec):
-    g = build(parse_spec(spec))
-    ref = ReferenceSearch(_maximal_masks(g))
-    ref.nim(0)
+def test_oracle_matches_reference_search(built, searched, spec):
+    g, ref = built(spec), searched(spec)
     table = brute_nim_table(g)
     assert table == ref.memo
     res = brute_nim(g)
@@ -262,11 +286,10 @@ def test_oracle_matches_reference_search(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_position_matches_reference_search(spec):
-    g = build(parse_spec(spec))
-    maximals = _maximal_masks(g)
-    for p in [0, *maximals]:
-        assert brute_nim_position(g, p) == ReferenceSearch(maximals).nim(p)
+def test_position_matches_reference_search(built, searched, spec):
+    g, ref = built(spec), searched(spec)
+    for p in [0, *ref.maximals]:
+        assert brute_nim_position(g, p) == ref.nim(p)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -281,18 +304,17 @@ def test_outcome_check_matches_reference(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_sweep_chunk_boundaries_match_reference(monkeypatch, spec):
-    g = build(parse_spec(spec))
-    maximals = _maximal_masks(g)
-    ref = ReferenceSearch(maximals)
-    ref.nim(0)
+def test_sweep_chunk_boundaries_match_reference(monkeypatch, built, searched, spec):
+    g, ref = built(spec), searched(spec)
+    maximals = ref.maximals
     one_parity = len({m.bit_count() % 2 for m in maximals}) == 1
     outcome = reference_outcome_check(maximals) if one_parity else None
-    # chunks of one or three cells split every level of every stack
+    # chunks of one or three cells split every level of every stack; the
+    # sweep from the empty set is brute_nim_table's
     for chunk in [1, 3]:
         monkeypatch.setattr(oracle, "CHUNK_CELLS", chunk)
         assert brute_nim_table(g) == ref.memo, chunk
-        for p in [0, *maximals]:
+        for p in maximals:
             assert brute_nim_position(g, p) == ref.nim(p), chunk
         if one_parity:
             assert strategy_free_outcome_check(g) == outcome, chunk

@@ -35,14 +35,14 @@ def test_mex(values, expected):
 
 
 def test_mex_bit_is_the_lowest_clear_bit():
-    seen = np.array([0, 0b1011, 2**62 - 1], dtype=np.uint64)  # mex 0, 2, 62
-    assert oracle._mex_bit(seen, 0).tolist() == [1, 0b100, 2**62]
+    seen = np.array([0, 0b1011, 0b111111], dtype=np.uint8)  # mex 0, 2, 6
+    assert oracle._mex_bit(seen, 0).tolist() == [1, 0b100, 0b1000000]
 
 
-@pytest.mark.parametrize("seen", [2**63 - 1, 2**64 - 1])  # mex 63, 64
+@pytest.mark.parametrize("seen", [0x7F, 0xFF])  # mex 7, 8
 def test_mex_bit_raises_instead_of_wrapping(seen):
-    with pytest.raises(SolverConsistencyError, match="63 or more"):
-        oracle._mex_bit(np.array([0, seen], dtype=np.uint64), 5)
+    with pytest.raises(SolverConsistencyError, match="7 or more"):
+        oracle._mex_bit(np.array([0, seen], dtype=np.uint8), 5)
 
 
 def test_brute_z2():
@@ -133,16 +133,18 @@ def test_cell_cap_skips_before_allocating(monkeypatch):
 
 
 def test_sweep_temporaries_stay_small():
-    # Z40's 2^20 cells take 8 MiB; a level-wide child matrix took 75 MiB
-    z40 = make_cyclic(40)
-    class_sizes(z40)  # the subgroups and the poset, outside the trace
-    tracemalloc.start()
-    try:
-        assert brute_nim(z40, 10**7).nim == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    # Z40's 2^20 one-byte cells take 1 MiB, and its level order 5 MiB; Z2^5
+    # has 31 maximals of 2^16 cells; a level-wide child matrix took 75 MiB
+    for spec, mib in [("Z40", 12), ("Z2 x Z2 x Z2 x Z2 x Z2", 10)]:
+        g = build(parse_spec(spec))
+        class_sizes(g)  # the subgroups and the poset, outside the trace
+        tracemalloc.start()
+        try:
+            assert brute_nim(g, 10**7).nim == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, spec
 
 
 def test_cell_cap_keeps_default_budget_decisions(catalog96):
