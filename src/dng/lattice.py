@@ -20,14 +20,15 @@ the found subgroups of order |H|p that hold each generator of H, read off
 one bitset of found subgroups per order and one per generator.  A proper
 subgroup is maximal iff its join with every seed outside it is the whole
 group (an element outside H has a prime-power part outside H), and the
-maximal subgroups are the classes of the maximal representatives.  The
-intersection poset folds the maximal subgroups one at a time into the set of
-intersections found so far.
+maximal subgroups are the classes of the maximal representatives.
 
 Which maximal subgroups contain a set is answered by its incidence, the
 bitmask of those maximal subgroups; a set generates the group iff its
-incidence is 0.  For one set at a time (``maximal_incidence``) it is the AND
-of its elements' incidences, as Python ints.  For many sets at once
+incidence is 0.  It is the AND of its elements' incidences
+(``maximal_incidence``), as Python ints, which are exact keys at any width.
+The intersection poset and the moves between its members are found in one
+walk over incidences, from the empty set's: adding an element to a set ANDs
+in the element's incidence.  For the subgroup lattice's inclusions
 (``inclusion``) the sets and the containers are rows of packed uint64 words
 (``packed``), and a set lies in a container iff ``set & ~container`` is 0 in
 every word; the rows are tested a bounded chunk at a time.
@@ -44,16 +45,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
+from .errors import (
+    GeneratingSetError,
+    LatticeGuardError,
+    SolverConsistencyError,
+    TrivialGroupError,
+)
 from .groups import Group, bits, element_order, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
 
-#: Cells per numpy temporary in the packed-word passes (``inclusion``, the
-#: structure digraph's edges and the oracle's sweep): 64 KiB of uint64, below
-#: glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
-#: memory instead of faulting in fresh pages.
+#: Cells per numpy temporary in ``inclusion`` (for ``lattice_dot``) and in
+#: the oracle's sweep: 64 KiB at most, below glibc's default mmap threshold
+#: of 128 KiB, so the temporaries reuse heap memory instead of faulting in
+#: fresh pages.
 CHUNK_CELLS = 2**13
 
 
@@ -80,9 +86,16 @@ class Subgroup:
 
 @dataclass
 class IntersectionPoset:
-    """All intersections of nonempty sets of maximal subgroups."""
+    """All intersections of nonempty sets of maximal subgroups.
+
+    A move (i, j) adds one element to a set whose smallest enclosing
+    intersection is ``members[i]``, and ``members[j]`` is the smallest one
+    enclosing the enlarged set, a proper overgroup.  Moves that reach a
+    generating set are left out.
+    """
 
     members: tuple[Subgroup, ...]  # sorted by (order, mask); the first is Frattini
+    moves: tuple[tuple[int, int], ...]  # sorted
 
 
 def per_group(fn):
@@ -154,6 +167,8 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
     pow2 = [1 << x for x in range(n)]
 
     def conjugacy_class(h: int) -> list[int]:
+        if not conjugations:  # g is abelian
+            return [h]
         orbit = [h]
         seen = {h}
         for k in orbit:  # grows while it is walked
@@ -338,16 +353,46 @@ def frattini(g: Group) -> Subgroup:
 
 @per_group
 def intersection_subgroups(g: Group) -> IntersectionPoset:
-    """All intersections of nonempty sets of maximal subgroups.
+    """All intersections of nonempty sets of maximal subgroups, and the moves.
 
-    Folds the maximal subgroups in one at a time: the intersections of the
-    first k+1 are the first k's, their meets with the new one, and itself.
+    An intersection is named by its incidence, and the walk starts from the
+    empty set's, which names the Frattini subgroup.  A member's moves are the
+    distinct ANDs of its incidence with each element's, less 0 (the enlarged
+    set generates g) and its own (the element was in it already).  Each
+    member is reached by adding its elements one at a time, so the walk finds
+    them all.  When T is reached from I, T & y = T & (I & y) for every
+    element y, so T is ANDed only with I's moves.  Two incidences that meet
+    in one subgroup would mean one is not closed: SolverConsistencyError.
     """
-    found: set[int] = set()
-    for m in maximal_subgroups(g):
-        found |= {m.mask & f for f in found}
-        found.add(m.mask)
-    return IntersectionPoset(members=_sorted_subgroups(found))
+    index = maximal_incidence(g)
+    top = index.everything
+    moves: dict[int, tuple[int, ...]] = {}
+    seen = {top}
+    # each member, with the moves of the member it was first reached from
+    walk = [(top, index.elements)]
+    for inc, near in walk:  # grows while it is walked
+        out = {inc & s for s in near}
+        out.discard(0)
+        out.discard(inc)
+        moves[inc] = out = tuple(out)
+        for t in out:
+            if t not in seen:
+                seen.add(t)
+                walk.append((t, out))
+    masks = {inc: index.meet(inc) for inc in moves}
+    if len(set(masks.values())) < len(masks):
+        raise SolverConsistencyError(
+            f"{len(masks)} walked incidences of {g.name} meet in "
+            f"{len(set(masks.values()))} intersection subgroups"
+        )
+    order = sorted(moves, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
+    at = {inc: i for i, inc in enumerate(order)}
+    edges: list[tuple[int, int]] = []
+    for i, inc in enumerate(order):
+        edges += [(i, j) for j in sorted(map(at.__getitem__, moves[inc]))]
+    return IntersectionPoset(
+        members=tuple(Subgroup(masks[inc]) for inc in order), moves=tuple(edges)
+    )
 
 
 @per_group

@@ -15,16 +15,10 @@ positions).  Types are solved bottom-up:
 ``comp(t, q)`` is the nim-number of parity-``q`` positions of a class of
 type ``t``.  A consistency identity cross-checks every node.
 
-The digraph is built in one numpy pass over word-packed incidences: the
-incidences of the nodes (``lattice.inclusion``) and of the elements
-(``lattice.maximal_incidence``) are rows of uint64 words, and the targets of
-a chunk of nodes are the distinct nonzero ANDs of each node's row with every
-element's row, looked up by a one-word key among the nodes' keys.  A
-one-word incidence is its own key; a wider one is hashed to a word, with a
-fresh salt whenever two nodes' keys collide, and every target is checked
-word for word against the node its key names.  Types
-are solved through a memo on option sets: each type gets a one-hot id, a
-node's options are the OR of its successors' ids, and each distinct
+The nodes and edges are the intersection poset and its moves
+(``lattice.intersection_subgroups``), found in one walk over incidences.
+Types are solved through a memo on option sets: each type gets a one-hot
+id, a node's options are the OR of its successors' ids, and each distinct
 (parity, options) pair is solved once.
 """
 
@@ -34,18 +28,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Union
 
-import numpy as np
-
 from .errors import SolverConsistencyError, TrivialGroupError
 from .groups import Group, bits
-from .lattice import (
-    CHUNK_CELLS,
-    Subgroup,
-    inclusion,
-    intersection_subgroups,
-    maximal_incidence,
-    packed,
-)
+from .lattice import Subgroup, intersection_subgroups
 
 
 @dataclass(frozen=True, order=True)
@@ -112,88 +97,16 @@ def mex(values) -> int:
     return m
 
 
-#: Salts the multi-word keys try before a collision of node keys raises.
-KEY_SALTS = 4
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer: a bijection of uint64 that spreads each bit
-    over every bit of the result."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _keys(inc: np.ndarray, salt: int = 0) -> np.ndarray:
-    """One uint64 key per row of packed incidence words.
-
-    A one-word incidence is its own key.  A wider one sums, wrapping, the
-    mix of each word XOR a per-word salt minus the mix of that salt, so the
-    empty incidence keys 0; ``salt`` picks the salts.
-    """
-    width = inc.shape[-1]
-    if width == 1:
-        return inc[..., 0]
-    step = np.arange(salt * width + 1, (salt + 1) * width + 1, dtype=np.uint64)
-    salts = _mix(step * np.uint64(0x9E3779B97F4A7C15))
-    return (_mix(inc ^ salts) - _mix(salts)).sum(axis=-1, dtype=np.uint64)
-
-
 def structure_digraph(g: Group) -> StructureDigraph:
     """Build the (unsolved) structure digraph of the avoidance game on g.
 
-    Sets are handled by their incidence, the bitmask of the maximal
-    subgroups that contain them.  An intersection subgroup is the
-    intersection of the maximals in its incidence, so its incidence keys
-    it.  Adding x to a set ANDs its incidence with x's own: 0 means the set
-    now generates g, the set's own incidence means x was already in it, and
-    anything else names the smallest intersection subgroup that contains
-    the enlarged set.  Each target is checked word for word against the
-    node its key names; a miss raises SolverConsistencyError.
+    Its nodes are the intersection subgroups and its edges the moves
+    between them (``lattice.intersection_subgroups``).
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
-    nodes = intersection_subgroups(g).members
-    incidence = maximal_incidence(g)
-    maximals = packed(incidence.maximals, g.order)
-    node_inc = inclusion(packed([s.mask for s in nodes], g.order), maximals)
-    elem_inc = packed(incidence.elements, len(incidence.maximals))
-    for salt in range(KEY_SALTS):
-        node_keys = _keys(node_inc, salt)
-        by_key = np.argsort(node_keys)
-        sorted_keys = node_keys[by_key]
-        if sorted_keys[0] != 0 and not np.any(sorted_keys[1:] == sorted_keys[:-1]):
-            break
-    else:
-        raise SolverConsistencyError(
-            f"the incidence keys of the {len(nodes)} intersection subgroups collide"
-        )
-    # one int object per node, shared by its edges: tolist makes one per entry
-    index = list(range(len(nodes)))
-    edges: list[tuple[int, int]] = []
-    step = max(1, CHUNK_CELLS // elem_inc.size)
-    for lo in range(0, len(nodes), step):
-        inc = node_inc[lo : lo + step, None, :] & elem_inc  # (node, element, word)
-        keys = _keys(inc, salt)
-        at = np.argsort(keys, axis=1)
-        keys = np.take_along_axis(keys, at, axis=1)
-        # the first of each run of equal keys, neither 0 nor the node's own
-        new = (keys != 0) & (keys != node_keys[lo : lo + step, None])
-        new[:, 1:] &= keys[:, 1:] != keys[:, :-1]
-        rows, cols = np.nonzero(new)
-        hit = np.searchsorted(sorted_keys, keys[rows, cols])
-        j = by_key[np.minimum(hit, len(nodes) - 1)]
-        if not np.array_equal(node_inc[j], inc[rows, at[rows, cols]]):
-            raise SolverConsistencyError(
-                "a move reaches a set whose smallest intersection subgroup "
-                "is not a node"
-            )
-        order = np.lexsort((j, rows))  # chunks come in ascending node order
-        edges += zip(
-            map(index.__getitem__, (rows[order] + lo).tolist()),
-            map(index.__getitem__, j[order].tolist()),
-        )
-    return StructureDigraph(nodes=nodes, edges=tuple(edges))
+    poset = intersection_subgroups(g)
+    return StructureDigraph(nodes=poset.members, edges=poset.moves)
 
 
 def solve_types(d: StructureDigraph) -> StructureDigraph:

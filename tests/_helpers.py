@@ -15,10 +15,10 @@ from dng.groups import (
 )
 from dng.errors import GeneratorCapError, SolverConsistencyError
 from dng.lattice import (
+    Subgroup,
     _is_prime_power,
     all_subgroups,
     frattini,
-    intersection_subgroups,
     maximal_incidence,
     maximal_subgroups,
 )
@@ -469,14 +469,16 @@ def reference_real_element_disjunction(g: Group, x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference structure solver: the digraph by one big-int AND per (node,
-# element outside it), and one mex solve per node, as the library did before
-# its packed-word pass and its option-set memo.
+# Reference structure solver: the nodes by closing the maximal subgroups under
+# pairwise intersection, the digraph by one big-int AND per (node, element
+# outside it), and one mex solve per node, as the library did before its walk
+# over incidences and its option-set memo.
 
 
 def reference_structure_digraph(g: Group) -> StructureDigraph:
-    nodes = intersection_subgroups(g).members
     incidence = maximal_incidence(g)
+    masks = reference_intersection_masks(list(incidence.maximals))
+    nodes = tuple(Subgroup(m) for m in by_order(masks))
     elem_inc = incidence.elements
     node_inc = [incidence.of(node.mask) for node in nodes]
     index = {inc: i for i, inc in enumerate(node_inc)}

@@ -39,7 +39,7 @@ from _helpers import (
     reference_structure_digraph,
     reference_subgroup_masks,
 )
-from dng import lattice, oracle, solver
+from dng import lattice, oracle
 from dng.catalog import catalog_specs
 from dng.classify import (
     barnes_first_player_wins,
@@ -169,10 +169,9 @@ def test_packed_chunk_boundaries_match_reference(monkeypatch, built, spec):
     g = built(spec)
     ref = reference_structure_digraph(g)
     dot = reference_lattice_dot(g)
-    # chunks of one or three cells split the rows of every packed pass
+    # chunks of one or three cells split the rows of the inclusion pass
     for chunk in [1, 3]:
-        for module in (lattice, solver):
-            monkeypatch.setattr(module, "CHUNK_CELLS", chunk)
+        monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk)
         d = structure_digraph(g)
         assert (d.nodes, d.edges) == (ref.nodes, ref.edges), chunk
         assert lattice_dot(g) == dot, chunk

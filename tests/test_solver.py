@@ -1,18 +1,17 @@
-import numpy as np
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
 from _helpers import digraph_to_json
-from dng import solver
 from dng.errors import SolverConsistencyError, TrivialGroupError
-from dng.groups import make_alternating, make_cyclic, make_symmetric
+from dng.groups import bits, make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
-    IntersectionPoset,
     Subgroup,
     frattini,
-    intersection_subgroups,
+    maximal_incidence,
     maximal_subgroups,
-    packed,
 )
 from dng.solver import (
     SPECTRUM,
@@ -73,14 +72,34 @@ def test_a4_digraph_edges():
     assert len(d.edges) == len(maximals)
 
 
-def test_missing_intersection_raises():
+def test_unclosed_incidence_raises():
     g = build(parse_spec("S4"))
-    members = intersection_subgroups(g).members
-    # every node but the source is the target of some edge
-    dropped = members[: len(members) // 2] + members[len(members) // 2 + 1 :]
-    g.derived[intersection_subgroups.__wrapped__] = IntersectionPoset(members=dropped)
-    with pytest.raises(SolverConsistencyError):
+    index = maximal_incidence(g)
+    # a phantom copy of the last maximal that only some of its elements name:
+    # a walked incidence with the phantom and one without it meet alike
+    k, last = len(index.maximals), index.maximals[-1]
+    halves = list(bits(last))[1::2]
+    elements = list(index.elements)
+    for x in halves:
+        elements[x] |= 1 << k
+    g.derived[maximal_incidence.__wrapped__] = replace(
+        index, maximals=index.maximals + (last,), elements=tuple(elements)
+    )
+    with pytest.raises(SolverConsistencyError, match="meet in"):
         structure_digraph(g)
+
+
+def test_digraph_memory_stays_small():
+    # Z2^6: 2824 nodes and 23,499 edges
+    g = build(parse_spec("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
+    maximal_incidence(g)  # the subgroups and maximals, outside the trace
+    tracemalloc.start()
+    try:
+        assert len(structure_digraph(g).edges) == 23499
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 def _manual(nodes_orders, edges):
@@ -204,34 +223,3 @@ def test_type_multiset():
         "(1,1,0)": 1,
         "(1,3,2)": 1,
     }
-
-
-@pytest.mark.parametrize("width", [2, 3])
-def test_one_hot_incidences_key_apart(width):
-    rows = packed([1 << b for b in range(64 * width)], 64 * width)
-    for salt in range(solver.KEY_SALTS):
-        keys = solver._keys(rows, salt)
-        assert 0 not in keys
-        assert len(set(keys.tolist())) == 64 * width
-        assert solver._keys(np.zeros((1, width), dtype=np.uint64), salt)[0] == 0
-
-
-def test_node_key_collision_takes_next_salt(monkeypatch):
-    g = build(parse_spec("D67"))  # 68 maximal subgroups: two-word keys
-    expected = structure_digraph(g).edges
-    keys = solver._keys
-
-    def colliding(inc, salt=0):
-        return np.ones(inc.shape[:-1], dtype=np.uint64) if salt == 0 else keys(inc, salt)
-
-    monkeypatch.setattr(solver, "_keys", colliding)
-    assert structure_digraph(g).edges == expected
-
-
-def test_node_key_collision_under_every_salt_raises(monkeypatch):
-    g = build(parse_spec("D67"))
-    monkeypatch.setattr(
-        solver, "_keys", lambda inc, salt=0: np.ones(inc.shape[:-1], dtype=np.uint64)
-    )
-    with pytest.raises(SolverConsistencyError, match="collide"):
-        structure_digraph(g)
