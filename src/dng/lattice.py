@@ -56,10 +56,11 @@ from .groups import Group, bits, element_order, join_element, mask_of
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
 
-#: Cells per numpy temporary in ``inclusion`` (for ``lattice_dot``) and in
-#: the oracle's sweep: 64 KiB at most, below glibc's default mmap threshold
-#: of 128 KiB, so the temporaries reuse heap memory instead of faulting in
-#: fresh pages.
+#: Cells per numpy temporary in ``inclusion`` (for ``lattice_dot``), and
+#: subsets per chunk of the oracle's sweep, whose temporaries are one 8-byte
+#: index or one word of at most 8 bytes per subset: 64 KiB at most, below
+#: glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
+#: memory instead of faulting in fresh pages.
 CHUNK_CELLS = 2**13
 
 

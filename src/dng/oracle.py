@@ -4,15 +4,18 @@ The positions of the game are the non-generating sets, which are exactly the
 subsets of the maximal subgroups.  For each maximal subgroup M containing the
 base position p, the sweep keeps one numpy array over the subsets of M minus
 p, indexed by a local bitmask: bit b stands for the b-th element of M \\ p.
-The arrays of the maximals with the same number of free elements are the
-rows of one 2-D stack.  A cell holds the nim-number of its position as a
-one-hot ``uint8``, so a seen-set is the OR of its children's cells and the
-mex is its lowest clear bit.  The arrays are filled one size level at a
-time, from |M| down to p, and each level of a stack a chunk of columns at a
-time, so that no numpy temporary reaches glibc's mmap threshold:
+A cell holds the nim-number of its position as a one-hot ``uint8``, so a
+seen-set is the OR of its children's cells and the mex is its lowest clear
+bit.  Up to 8 maximals with the same number of free elements share a stack,
+one byte lane each: the stack holds one word of 1, 2, 4 or 8 bytes per
+subset, and the lanes no maximal fills hold a free game valued 0 or 1.  The
+arrays are filled one size level at a time, from |M| down to p, and each
+level of a stack a chunk of subsets at a time, so that no numpy temporary
+reaches glibc's mmap threshold:
 
 1. each cell ORs its children one level up inside its own maximal, one
-   element at a time: the child that adds element b, for every row at once;
+   element at a time: the child that adds element b, one word for every
+   lane at once;
 2. for each pair i < j of maximals, every subset of Mi and Mj ORs its cell
    in maximal j into its cell in maximal i, so the first maximal containing
    a position, its owner, has seen every child, in whichever maximal the
@@ -55,17 +58,17 @@ from .lattice import CHUNK_CELLS, class_sizes, maximal_incidence, maximal_subgro
 DEFAULT_BUDGET = 2_000_000
 
 #: Largest budget the command line accepts.  The budget counts positions,
-#: not memory: a sweep allocates one cell per subset of each maximal
-#: subgroup M containing the base p, the sum of 2^|M \ p|, which
-#: ``MAX_CELLS`` bounds.
+#: not memory: a sweep allocates at least one cell per subset of each maximal
+#: subgroup M containing the base p, the sum of 2^|M \ p|, and ``MAX_CELLS``
+#: bounds the cells it allocates.
 MAX_BUDGET = 2**64
 
-#: Most cells a sweep may allocate, counted before the first allocation;
-#: above it the sweep raises OracleBudgetError whatever the budget.  Sweeps
-#: of ``Z40`` and ``Z2^5`` peak at 7.1 and 3.3 bytes per cell (tracemalloc),
-#: so this bounds a sweep near 30 MB.  Games within the default budget need at
-#: most half of it: on the catalog up to order 96 the most is ``Z40``,
-#: 1,048,832 cells, and ``Z2^5`` needs 2,031,616.
+#: Most cells a sweep may allocate, padding lanes included, counted before
+#: the first allocation; above it the sweep raises OracleBudgetError whatever
+#: the budget.  Sweeps of ``Z40`` and ``Z2^5`` peak at 7.2 and 3.4 bytes per
+#: cell (tracemalloc), so this bounds a sweep near 30 MB.  Games within the
+#: default budget need about a quarter of it: on the catalog up to order 96
+#: the most is ``S3 x S3``, 1,081,344 cells, and ``Z2^5`` needs 2,097,152.
 MAX_CELLS = 2**22
 
 
@@ -137,6 +140,13 @@ def _embed(subsets: np.ndarray, shared: int, elems: list[int]) -> np.ndarray:
     return local[subsets]
 
 
+def _width(lanes: list[int]) -> int:
+    """Bytes per word of a stack of these lanes: their count rounded up to
+    1, 2, 4 or 8.  A padding lane belongs to no maximal; it sees only itself,
+    a free game valued 0 or 1, so it never trips ``_mex_bit``."""
+    return 1 << (len(lanes) - 1).bit_length()
+
+
 @dataclass
 class _Sweep:
     elems: list[list[int]]  # per maximal containing the base, M \ base
@@ -158,16 +168,22 @@ def _sweep(
     ``fold(seen, size)`` maps the OR of the children's cells, for the
     positions of one size, to their cells.  Raises OracleBudgetError, before
     any cell is folded, when more than ``budget`` positions own a cell, and
-    before any array is allocated when the sweep needs more than
-    ``MAX_CELLS`` cells.
+    before any array is allocated when its stacks, padding lanes included,
+    need more than ``MAX_CELLS`` cells.
     """
     free = [m & ~base for m in maximal_incidence(g).maximals if base & ~m == 0]
-    count = sum(1 << f.bit_count() for f in free)
+    elems = [list(bits(f)) for f in free]
+    # maximals with the same number of free elements share stacks of at
+    # most 8 lanes
+    layout = []
+    for n in sorted(set(map(len, elems))):
+        same = [i for i, e in enumerate(elems) if len(e) == n]
+        layout += [(n, same[lo : lo + 8]) for lo in range(0, len(same), 8)]
+    count = sum(_width(lanes) << n for n, lanes in layout)
     if count > MAX_CELLS:
         raise OracleBudgetError(
             f"{count} cells to sweep, over the cap of {MAX_CELLS}"
         )
-    elems = [list(bits(f)) for f in free]
     levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,33 +210,33 @@ def _sweep(
         int(by_level(len(f))[0][o].sum(dtype=np.int64)) for f, o in zip(elems, owned)
     )
 
-    # maximals with the same number of free elements share one stack of rows
-    stacks = {
-        n: np.zeros((sum(len(f) == n for f in elems), 1 << n), dtype=np.uint8)
-        for n in sorted(set(map(len, elems)))
-    }
-    rows = {n: iter(stack) for n, stack in stacks.items()}
-    cells = [next(rows[len(f)]) for f in elems]
+    column: dict[int, np.ndarray] = {}  # per maximal, its lane of a stack
+    stacks = []  # (n, words): one word per subset, one byte lane per maximal
+    for n, lanes in layout:
+        width = _width(lanes)
+        stack = np.zeros((1 << n, width), dtype=np.uint8)
+        column.update((i, stack[:, lane]) for lane, i in enumerate(lanes))
+        stacks.append((n, stack.view(f"u{width}").reshape(-1)))
+    cells = [column[i] for i in range(len(elems))]
 
     def chunks(level: int):
-        """Each stack with one chunk of its columns at this level at a time."""
-        for n, stack in stacks.items():
+        """Each stack with one chunk of its subsets at this level at a time."""
+        for n, words in stacks:
             if level <= n:
                 _, order, starts = by_level(n)
                 at = order[starts[level] : starts[level + 1]]
-                width = max(1, CHUNK_CELLS // len(stack))
-                for lo in range(0, len(at), width):
-                    yield n, stack, at[lo : lo + width]
+                for lo in range(0, len(at), CHUNK_CELLS):
+                    yield n, words, at[lo : lo + CHUNK_CELLS].astype(np.intp)
 
     size = base.bit_count()
-    for level in range(max(stacks), -1, -1):
-        for n, stack, part in chunks(level):
-            seen = np.zeros((len(stack), len(part)), dtype=np.uint8)
+    for level in range(max(n for n, _ in stacks), -1, -1):
+        for n, words, part in chunks(level):
+            seen = np.zeros(len(part), dtype=words.dtype)
             # a child that adds an element already in the subset is the
-            # subset itself, whose cell is still 0
+            # subset itself, whose word is still 0
             for b in range(n):
-                seen |= np.take(stack, part | 1 << b, axis=1)
-            stack[:, part] = seen
+                seen |= np.take(words, part | 1 << b)
+            words[part] = seen
         live = []  # the pairs whose shared subsets include this level
         for i, j, ii, jj, starts in pairs:
             if level < len(starts) - 1:
@@ -228,8 +244,9 @@ def _sweep(
                 live.append((cells[i], cells[j], ii[s], jj[s]))
         for ci, cj, ii, jj in live:  # owners see the children in every maximal
             ci[ii] |= cj[jj]
-        for n, stack, part in chunks(level):
-            stack[:, part] = fold(stack[:, part], size + level)
+        for n, words, part in chunks(level):
+            folded = fold(words[part].view(np.uint8), size + level)
+            words[part] = folded.view(words.dtype)
         for ci, cj, ii, jj in live:  # ascending i: each source is final
             cj[jj] = ci[ii]
     return _Sweep(elems=elems, cells=cells, positions=positions, effort=effort)

@@ -302,13 +302,28 @@ def test_outcome_check_matches_reference(spec):
             strategy_free_outcome_check(g)
 
 
+def test_sweep_stacks_cover_every_lane_width(built):
+    # a maximal's cells are one byte lane of its stack's words, so the row
+    # stride of its cells is the stack's width
+    widths, crowded = set(), set()
+    for spec in ORACLE_SPECS:
+        sweep = oracle._sweep(built(spec), 0, oracle.DEFAULT_BUDGET, oracle._mex_bit)
+        widths |= {c.strides[0] for c in sweep.cells}
+        sizes = [len(e) for e in sweep.elems]
+        if any(sizes.count(n) > 8 for n in sizes):
+            crowded.add(spec)
+    assert widths == {1, 2, 4, 8}
+    # A5 has 10 maximals of order 6, D11 11 of order 2, Z2^4 15 of order 8
+    assert {"A5", "D11", "Z2 x Z2 x Z2 x Z2"} <= crowded
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_sweep_chunk_boundaries_match_reference(monkeypatch, built, searched, spec):
     g, ref = built(spec), searched(spec)
     maximals = ref.maximals
     one_parity = len({m.bit_count() % 2 for m in maximals}) == 1
     outcome = reference_outcome_check(maximals) if one_parity else None
-    # chunks of one or three cells split every level of every stack; the
+    # chunks of one or three subsets split every level of every stack; the
     # sweep from the empty set is brute_nim_table's
     for chunk in [1, 3]:
         monkeypatch.setattr(oracle, "CHUNK_CELLS", chunk)

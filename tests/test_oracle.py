@@ -132,10 +132,23 @@ def test_cell_cap_skips_before_allocating(monkeypatch):
         brute_nim(g, oracle.MAX_BUDGET)
 
 
+def test_cell_cap_counts_padding_lanes(monkeypatch):
+    # S3 x S3: 6 maximals of order 12 take a stack of 8 lanes and 3 of order
+    # 18 one of 4, so 811,008 cells of maximals allocate 1,081,344
+    g = build(parse_spec("S3 x S3"))
+    class_sizes(g)  # the preflight's poset, built before numpy is patched
+    monkeypatch.setattr(oracle, "MAX_CELLS", 1_000_000)
+    monkeypatch.setattr(oracle.np, "zeros", _refuse)
+    monkeypatch.setattr(oracle.np, "ones", _refuse)
+    with pytest.raises(OracleBudgetError, match="1081344 cells to sweep"):
+        brute_nim(g)
+
+
 def test_sweep_temporaries_stay_small():
     # Z40's 2^20 one-byte cells take 1 MiB, and its level order 5 MiB; Z2^5
-    # has 31 maximals of 2^16 cells; a level-wide child matrix took 75 MiB
-    for spec, mib in [("Z40", 12), ("Z2 x Z2 x Z2 x Z2 x Z2", 10)]:
+    # has 31 maximals in 4 stacks of 2^16 eight-byte words; S3 x S3 has
+    # stacks of 8 and 4 lanes; a level-wide child matrix took 75 MiB
+    for spec, mib in [("Z40", 12), ("Z2 x Z2 x Z2 x Z2 x Z2", 10), ("S3 x S3", 4)]:
         g = build(parse_spec(spec))
         class_sizes(g)  # the subgroups and the poset, outside the trace
         tracemalloc.start()
@@ -147,13 +160,25 @@ def test_sweep_temporaries_stay_small():
         assert peak < mib * 2**20, spec
 
 
+def _allocated_cells(orders):
+    """Cells of the stacks for maximal subgroups of these orders: at most 8
+    lanes a stack, their count rounded up to 1, 2, 4 or 8."""
+    cells = 0
+    for n in set(orders):
+        k = orders.count(n)
+        cells += 8 * (k // 8) << n
+        if k % 8:
+            cells += {1: 1, 2: 2, 3: 4, 4: 4}.get(k % 8, 8) << n
+    return cells
+
+
 def test_cell_cap_keeps_default_budget_decisions(catalog96):
     for spec, g in catalog96:
         maximals = [m.order for m in maximal_subgroups(g)]
         if 1 << max(maximals) > oracle.DEFAULT_BUDGET:
             continue
         if sum(class_sizes(g)) <= oracle.DEFAULT_BUDGET:
-            assert sum(1 << m for m in maximals) <= oracle.MAX_CELLS, spec
+            assert _allocated_cells(maximals) <= oracle.MAX_CELLS, spec
 
 
 def test_position_empty_equals_game():
