@@ -67,5 +67,5 @@ class SolverConsistencyError(DngError):
     Raised when the mex calculus produces an inconsistent type triple, when
     the oracle values a different number of positions than the class sizes of
     the intersection poset predict, or when a nim-number outgrows the
-    oracle's 64-bit seen-sets.
+    oracle's one-byte cells, which hold a value below 7 as one set bit.
     """

@@ -5,10 +5,11 @@ group are passed around as int bitmasks (bit ``x`` set means element ``x``
 is in the set), which keeps subgroup and position handling uniform across
 the package.
 
-Each group keeps one power table, from which the order of every element and
-the cyclic subgroup it generates are read.  ``closure_mask`` and
-``join_element`` generate subgroups by coset walks; ``min_generators``
-instead asks which maximal subgroups contain a set (``lattice``).
+The order of every element and the cyclic subgroup it generates are read off
+one walk per cyclic subgroup, which multiplies its least generator in until
+the identity.  ``closure_mask`` and ``join_element`` generate subgroups by
+coset walks; ``min_generators`` instead asks which maximal subgroups contain
+a set (``lattice``).
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ class Group:
     table: np.ndarray
     inverses: np.ndarray
     name: str
-    #: ``closure_mask`` results, keyed by generating set
-    closures: dict[int, int] = field(default_factory=dict, repr=False)
     #: ``lattice.per_group`` results, keyed by function
     derived: dict = field(default_factory=dict, repr=False)
 
@@ -73,31 +72,41 @@ class Group:
         return f"Group({self.name!r}, order={self.order})"
 
     @functools.cached_property
-    def powers(self) -> np.ndarray:
-        """``powers[k, x]`` is x^k, for 0 <= k < the exponent of the group."""
-        rows = np.arange(self.order, dtype=self.table.dtype)[None, :]  # x^1 .. x^m
-        while rows.any(axis=1).all():  # no power so far is the identity
-            # doubling: x^(k+m) = x^k * x^m
-            rows = np.concatenate([rows, self.table[rows, rows[-1]]])
-        exponent = int(np.argmin(rows.any(axis=1))) + 1
-        # x^exponent is the identity: it becomes row 0
-        return np.roll(rows[:exponent], 1, axis=0)
+    def _cyclic(self) -> tuple[list[int], list[int]]:
+        """The order of each element and the bitmask of the cyclic subgroup
+        it generates.
 
-    @functools.cached_property
+        One walk per cyclic subgroup starts from its least generator x and
+        multiplies x in until the identity; x^e generates the same subgroup
+        iff gcd(e, k) = 1, where k is the order of x.
+        """
+        orders = [0] * self.order
+        masks = [0] * self.order
+        for x, col in enumerate(self.columns):
+            if orders[x]:
+                continue  # x generates a cyclic subgroup walked already
+            powers = [0]  # x^0, x^1, ...
+            y = x
+            while y:
+                powers.append(y)
+                y = col[y]  # x^(e+1) = x^e * x
+            k = len(powers)
+            mask = mask_of(powers)
+            for e, y in enumerate(powers):
+                if math.gcd(e, k) == 1:
+                    orders[y] = k
+                    masks[y] = mask
+        return orders, masks
+
+    @property
     def element_orders(self) -> list[int]:
-        """The order of each element, read off ``powers``."""
-        # x^k is the identity iff the order of x divides k
-        hits = np.count_nonzero(self.powers == 0, axis=0)
-        return (len(self.powers) // hits).tolist()
+        """The order of each element."""
+        return self._cyclic[0]
 
-    @functools.cached_property
+    @property
     def cyclic_masks(self) -> list[int]:
         """Bitmask of the cyclic subgroup each element generates: its powers."""
-        n = self.order
-        member = np.full((n, n), False)
-        member[np.arange(n), self.powers] = True  # row x holds every power of x
-        rows = np.packbits(member, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        return self._cyclic[1]
 
     @functools.cached_property
     def columns(self) -> list[list[int]]:
@@ -123,15 +132,6 @@ class Group:
         t = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         inverses = _validate_table(t, check_associativity)
         return cls(order=len(inverses), table=t, inverses=inverses, name=name)
-
-    def to_json_dict(self) -> dict:
-        """Versioned debug serialization; not a stability-guaranteed format."""
-        return {
-            "format": "dng-group-v1",
-            "name": self.name,
-            "order": self.order,
-            "table": self.table.tolist(),
-        }
 
 
 def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarray:
@@ -377,16 +377,11 @@ def closure_mask(g: Group, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements in ``mask``.
 
     The join of the cyclic subgroup of its lowest element other than the
-    identity, read off the power table, with the rest of ``mask``; results
-    are kept in ``g.closures``.
+    identity with the rest of ``mask``.
     """
-    hit = g.closures.get(mask)
-    if hit is None:
-        rest = mask & ~1  # the identity generates nothing
-        x = (rest & -rest).bit_length() - 1
-        hit = join_mask(g, g.cyclic_masks[x], [x], rest) if rest else 1
-        g.closures[mask] = hit
-    return hit
+    rest = mask & ~1  # the identity generates nothing
+    x = (rest & -rest).bit_length() - 1
+    return join_mask(g, g.cyclic_masks[x], [x], rest) if rest else 1
 
 
 def is_cyclic(g: Group) -> bool:

@@ -2,9 +2,9 @@
 
 Enumeration works up to conjugacy, by cyclic extension (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005).  The seeds are the
-cyclic subgroups of prime-power order, read off the group's power table:
-every element is a product of prime-power powers of itself, so every
-subgroup is a join of seeds.  Starting from the trivial subgroup, one
+cyclic subgroups of prime-power order (``Group.cyclic_masks``): every
+element is a product of prime-power powers of itself, so every subgroup is a
+join of seeds.  Starting from the trivial subgroup, one
 representative of each conjugacy class is joined with every seed (a coset
 walk, ``groups.join_element``, that multiplies by a generating set of the
 representative: its parent's generators and the seed that made it); a join
@@ -28,10 +28,9 @@ incidence is 0.  It is the AND of its elements' incidences
 (``maximal_incidence``), as Python ints, which are exact keys at any width.
 The intersection poset and the moves between its members are found in one
 walk over incidences, from the empty set's: adding an element to a set ANDs
-in the element's incidence.  For the subgroup lattice's inclusions
-(``inclusion``) the sets and the containers are rows of packed uint64 words
-(``packed``), and a set lies in a container iff ``set & ~container`` is 0 in
-every word; the rows are tested a bounded chunk at a time.
+in the element's incidence.  The subgroup lattice's inclusions
+(``lattice_dot``) are found the same way, with one bit per subgroup in place
+of one per maximal subgroup.
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -41,9 +40,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     GeneratingSetError,
@@ -55,13 +51,6 @@ from .groups import Group, bits, element_order, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
-
-#: Cells per numpy temporary in ``inclusion`` (for ``lattice_dot``), and
-#: subsets per chunk of the oracle's sweep, whose temporaries are one 8-byte
-#: index or one word of at most 8 bytes per subset: 64 KiB at most, below
-#: glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
-#: memory instead of faulting in fresh pages.
-CHUNK_CELLS = 2**13
 
 
 @dataclass(frozen=True, order=True)
@@ -80,9 +69,6 @@ class Subgroup:
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
-
-    def members(self) -> list[int]:
-        return list(bits(self.mask))
 
 
 @dataclass
@@ -133,7 +119,7 @@ def _is_prime_power(k: int) -> bool:
 
 def _seeds(g: Group) -> list[tuple[int, int]]:
     """Each cyclic subgroup of prime-power order with its first generator,
-    sorted by mask, read off the power table."""
+    sorted by mask."""
     orders = g.element_orders
     prime_powers = {k for k in set(orders) if k > 1 and _is_prime_power(k)}
     generator: dict[int, int] = {}
@@ -309,30 +295,6 @@ class MaximalIncidence:
         return out
 
 
-def packed(masks: Sequence[int], nbits: int) -> np.ndarray:
-    """Bitmasks of at most ``nbits`` bits as rows of uint64 words: bit b of a
-    mask is bit b % 64 of word b // 64."""
-    width = max(1, -(-nbits // 64))
-    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width).astype(np.uint64)
-
-
-def inclusion(sets: np.ndarray, containers: np.ndarray) -> np.ndarray:
-    """Which containers hold each set, as ``packed`` rows of bits.
-
-    ``sets`` and ``containers`` are ``packed`` rows of one width.  Bit c of
-    row s of the result is set iff ``sets[s]`` lies inside ``containers[c]``.
-    """
-    k = len(containers)
-    out = np.zeros((len(sets), 8 * max(1, -(-k // 64))), dtype=np.uint8)
-    outside = ~containers
-    step = max(1, CHUNK_CELLS // max(1, outside.size))
-    for lo in range(0, len(sets), step):
-        inside = ~np.any(sets[lo : lo + step, None, :] & outside, axis=2)
-        out[lo : lo + step, : -(-k // 8)] = np.packbits(inside, axis=1, bitorder="little")
-    return out.view("<u8").astype(np.uint64)
-
-
 @per_group
 def maximal_incidence(g: Group) -> MaximalIncidence:
     """The per-element maximal-incidence index of g."""
@@ -467,20 +429,29 @@ def lattice_dot(g: Group) -> str:
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
         lines.append(f'  n{i} [label="{s.order}"];')
-    # bit j of below[i]: subs[j] is a proper subgroup of subs[i].  subs[j]
-    # lies inside subs[i] iff the complement of subs[i] lies inside the
-    # complement of subs[j].
-    outside = ~packed([s.mask for s in subs], g.order)
-    rows = inclusion(outside, outside).astype("<u8")
-    below = [
-        int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(rows)
-    ]
-    for i, under in enumerate(below):
-        # keep j -> i only when no subgroup sits strictly between
-        between = 0
-        for k in bits(under):
-            between |= below[k]
-        for j in bits(under & ~between):
-            lines.append(f"  n{j} -> n{i};")
+    # bit i of holding[x]: subs[i] contains x.  The AND of a subgroup's
+    # elements' bits is its containers, itself among them.
+    holding = [0] * g.order
+    for i, s in enumerate(subs):
+        for x in bits(s.mask):
+            holding[x] |= 1 << i
+    containers = []
+    for s in subs:
+        c = -1  # all ones
+        for x in bits(s.mask):
+            c &= holding[x]
+        containers.append(c)
+    edges = []
+    for j, c in enumerate(containers):
+        # The least container left is a cover of subs[j]: subs is sorted by
+        # order, so a subgroup strictly between them would have a smaller
+        # index and would have taken its containers, that one among them,
+        # out of the rest already.
+        rest = c & ~(1 << j)
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            edges.append((i, j))
+            rest &= ~containers[i]
+    lines += [f"  n{j} -> n{i};" for i, j in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"

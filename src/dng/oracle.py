@@ -50,7 +50,7 @@ from .errors import (
     SolverConsistencyError,
 )
 from .groups import Group, bits
-from .lattice import CHUNK_CELLS, class_sizes, maximal_incidence, maximal_subgroups
+from .lattice import class_sizes, maximal_incidence, maximal_subgroups
 
 #: Default cap on the number of positions (non-generating subsets) a full
 #: sweep may value, decided before sweeping; larger games fall back to
@@ -70,6 +70,12 @@ MAX_BUDGET = 2**64
 #: default budget need about a quarter of it: on the catalog up to order 96
 #: the most is ``S3 x S3``, 1,081,344 cells, and ``Z2^5`` needs 2,097,152.
 MAX_CELLS = 2**22
+
+#: Subsets per chunk of a sweep, whose temporaries are one 8-byte index or
+#: one word of at most 8 bytes per subset: 64 KiB at most, below glibc's
+#: default mmap threshold of 128 KiB, so the temporaries reuse heap memory
+#: instead of faulting in fresh pages.
+CHUNK_CELLS = 2**13
 
 
 @dataclass

@@ -521,8 +521,8 @@ def reference_solve_types(d: StructureDigraph) -> StructureDigraph:
 # ---------------------------------------------------------------------------
 # Reference generation queries: the power loop, the prime-power seeds found by
 # it, Barnes' criterion over every element and the k-subset closure search, as
-# the library answered them before its power table, its cyclic subgroups and
-# its incidence search.
+# the library answered them before its cyclic subgroup walks, its seeds per
+# cyclic subgroup and its incidence search.
 
 
 def reference_element_order(g: Group, x: int) -> int:
@@ -578,12 +578,17 @@ def reference_min_generators(g: Group, cap: int = 3) -> int:
         return 0
     full = g.full_mask
     n = g.order
+    # many prefixes close to the same subgroup, so each closure is kept
+    closures: dict[int, int] = {}
 
     def extend(closed: int, start: int, remaining: int) -> bool:
         for x in range(start, n):
             if closed >> x & 1:
                 continue  # x adds nothing: same closure as the shorter prefix
-            c = closure_mask(g, closed | 1 << x)
+            mask = closed | 1 << x
+            c = closures.get(mask)
+            if c is None:
+                c = closures[mask] = closure_mask(g, mask)
             if c == full:
                 return True
             if remaining > 1 and extend(c, x + 1, remaining - 1):

@@ -256,10 +256,3 @@ def test_is_abelian():
     assert is_abelian(make_cyclic(12))
     assert not is_abelian(make_symmetric(3))
 
-
-def test_json_round_trip_shape():
-    g = make_cyclic(4)
-    d = g.to_json_dict()
-    assert d["format"] == "dng-group-v1"
-    assert d["order"] == 4
-    assert d["table"][1][3] == 0

@@ -3,6 +3,7 @@ import pytest
 from _helpers import brute_force_subgroup_masks, union_of_maximals
 from dng.errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
 from dng.groups import (
+    bits,
     closure_mask,
     is_cyclic,
     make_alternating,
@@ -197,7 +198,7 @@ def test_direct_product_maximals(catalog24):
         kfull = k.full_mask
         for m in maximal_subgroups(h):
             lifted = 0
-            for a in m.members():
+            for a in bits(m.mask):
                 lifted |= kfull << (a * k.order)
             assert lifted in gmax
 

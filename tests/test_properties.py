@@ -1,8 +1,8 @@
 """Hypothesis properties: relabeling invariance, three-way agreement,
 subgroup enumeration against the coset-join fixpoint, the structure solver
 against its per-element loop, the oracle's sweep against the game-tree
-search, and the power table and the incidence search for generators against
-the closure loops."""
+search, and the cyclic subgroup walks and the incidence search for generators
+against the closure loops."""
 
 from _helpers import (
     ReferenceSearch,

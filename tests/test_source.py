@@ -1,12 +1,14 @@
 """Source checks: the package makes no BLAS call and reads no environment
-variable, and the structure solver does not import the oracle.
+variable, the structure solver does not import the oracle, and the lattice
+does not import numpy.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
 value read from the environment would be an option that no test or
 benchmark sets, so tuning constants stay constants.  The solver and the
 oracle are two of the three independent routes to the nim-number, so neither
-may lean on the other's code.
+may lean on the other's code.  The lattice answers containment with Python
+ints, so only the group tables and the oracle's sweep need numpy.
 """
 
 import ast
@@ -84,8 +86,8 @@ def test_package_reads_no_environment_variable():
     assert _package_findings(_environment_reads) == {}
 
 
-def _oracle_imports(tree: ast.AST) -> list[str]:
-    """Imports of the package's ``oracle`` module, or of names from it."""
+def _imports_of(tree: ast.AST, module: str) -> list[str]:
+    """Imports of a module named ``module``, or of names from it."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -95,7 +97,7 @@ def _oracle_imports(tree: ast.AST) -> list[str]:
             modules = [base] + [f"{base}.{a.name}" for a in node.names]
         else:
             continue
-        if any(m.split(".")[-1] == "oracle" for m in modules):
+        if any(module in m.split(".") for m in modules):
             found.append(f"line {node.lineno}")
     return found
 
@@ -104,11 +106,24 @@ def test_check_sees_oracle_imports():
     src = (
         "from .oracle import mex\nfrom . import oracle\nimport dng.oracle\n"
         "from dng.oracle import brute_nim\nfrom dng import oracle as o\n"
-        "from .lattice import packed\nfrom . import solver\n"
+        "from .lattice import frattini\nfrom . import solver\n"
     )
-    assert len(_oracle_imports(ast.parse(src))) == 5
+    assert len(_imports_of(ast.parse(src), "oracle")) == 5
 
 
 def test_solver_imports_nothing_from_the_oracle():
     path = Path(dng.__file__).parent / "solver.py"
-    assert _oracle_imports(ast.parse(path.read_text(), filename=str(path))) == []
+    assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "oracle") == []
+
+
+def test_check_sees_numpy_imports():
+    src = (
+        "import numpy as np\nfrom numpy import uint8\nimport numpy.linalg\n"
+        "from numpy.lib import stride_tricks\nimport numbers\nfrom .groups import np\n"
+    )
+    assert len(_imports_of(ast.parse(src), "numpy")) == 4
+
+
+def test_lattice_imports_nothing_from_numpy():
+    path = Path(dng.__file__).parent / "lattice.py"
+    assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy") == []
