@@ -11,7 +11,6 @@ Grammar (whitespace-insensitive, case-sensitive)::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import groups
@@ -82,7 +81,13 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self._fail(frozenset({"integer"}))
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise SpecValueError(
+                f"the integer at offset {start} has {self.pos - start} digits, "
+                "too many to read"
+            ) from None
 
     def _lit(self, s: str) -> bool:
         if self.text.startswith(s, self.pos):
@@ -162,10 +167,13 @@ def print_spec(spec: GroupSpec) -> str:
 _LEAST_PARAMETER = {Cyclic: 1, Dihedral: 1, Dicyclic: 2, Symmetric: 1, Alternating: 1}
 
 
-def spec_order(spec: GroupSpec) -> int:
+def spec_order(spec: GroupSpec, cap: int | None = None) -> int | None:
     """Order of the group a spec evaluates to, without building it.
 
-    Raises SpecValueError for an atom whose parameter names no group.
+    With a ``cap`` the order is evaluated only until it passes the cap: no
+    product is formed from a number above the cap, and None stands for its
+    order, which exceeds the cap.  Raises SpecValueError for an atom whose
+    parameter names no group, wherever it is in the spec.
     """
     least = _LEAST_PARAMETER.get(type(spec))
     if least is not None and spec.n < least:
@@ -173,23 +181,32 @@ def spec_order(spec: GroupSpec) -> int:
     if isinstance(spec, Cyclic):
         return spec.n
     if isinstance(spec, Dihedral):
-        return 2 * spec.n
-    if isinstance(spec, Dicyclic):
-        return 4 * spec.n
-    if isinstance(spec, Symmetric):
-        return math.factorial(spec.n)
-    if isinstance(spec, Alternating):
-        return max(math.factorial(spec.n) // 2, 1)
-    if isinstance(spec, GeneralizedDihedralOf):
-        return 2 * spec_order(spec.inner)
-    if isinstance(spec, DirectProduct):
-        return spec_order(spec.left) * spec_order(spec.right)
-    raise TypeError(f"not a GroupSpec: {spec!r}")
+        factors = [2, spec.n]
+    elif isinstance(spec, Dicyclic):
+        factors = [4, spec.n]
+    elif isinstance(spec, Symmetric):
+        factors = range(2, spec.n + 1)
+    elif isinstance(spec, Alternating):
+        factors = range(3, spec.n + 1)  # n!/2, and 1 below A3
+    elif isinstance(spec, GeneralizedDihedralOf):
+        factors = [2, spec_order(spec.inner, cap)]
+    elif isinstance(spec, DirectProduct):
+        factors = [spec_order(spec.left, cap), spec_order(spec.right, cap)]
+    else:
+        raise TypeError(f"not a GroupSpec: {spec!r}")
+    order = 1
+    for k in factors:
+        if k is None or cap is not None and max(order, k) > cap:
+            return None
+        order *= k
+    return order
 
 
 def check_order(spec: GroupSpec, budget: int = ORDER_BUDGET) -> int:
-    """``spec_order``, raising BudgetError when it exceeds the budget."""
-    order = spec_order(spec)
+    """``spec_order`` up to the budget, raising BudgetError above it."""
+    order = spec_order(spec, budget)
+    if order is None:
+        raise BudgetError(f"{print_spec(spec)} has an order exceeding budget {budget}")
     if order > budget:
         raise BudgetError(
             f"{print_spec(spec)} has order {order}, exceeding budget {budget}"

@@ -358,20 +358,22 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
     )
 
 
-@per_group
-def class_sizes(g: Group) -> tuple[int, ...]:
-    """Number of subsets whose smallest containing intersection is each member.
+def class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:
+    """Number of subsets containing ``base`` whose smallest containing
+    intersection is each member that contains ``base``.
 
-    Entry i belongs to ``intersection_subgroups(g).members[i]``.  Every
-    non-generating subset has exactly one smallest intersection subgroup
-    containing it, so g(I) = 2^|I| - sum of g(J) over members J strictly
-    inside I, and the sizes sum to the number of game positions.
+    Entry i belongs to the i-th of the ``intersection_subgroups(g).members``
+    that contain ``base``.  Every non-generating subset has exactly one
+    smallest intersection subgroup containing it, so g(I) = 2^(|I| - |base|)
+    - sum of g(J) over those members J strictly inside I, and the sizes sum
+    to the number of game positions at or above ``base``.
     """
-    masks = [s.mask for s in intersection_subgroups(g).members]
+    members = intersection_subgroups(g).members
+    masks = [s.mask for s in members if base & ~s.mask == 0]
     sizes: list[int] = []
     # members are sorted by order, so every proper subgroup J of I comes first
     for i, a in enumerate(masks):
-        n = 1 << a.bit_count()
+        n = 1 << (a.bit_count() - base.bit_count())
         for b, size in zip(masks[:i], sizes):
             if b & ~a == 0:
                 n -= size

@@ -28,12 +28,13 @@ reaches glibc's mmap threshold:
 Each subset of size s is the child of exactly s positions, so the number of
 moves (``effort``) is the sum of the sizes of the owned subsets.  Values are
 kept per literal subset and never read the structure classes, so the oracle
-stays independent of the theory it cross-checks.  Before a full
-sweep the oracle counts the positions, the non-generating subsets, from the
+stays independent of the theory it cross-checks.  Before every sweep, from
+the empty set or from any other base, the oracle counts the positions at or
+above the base, the non-generating sets that contain it, from the
 intersection poset (``class_sizes``) and skips the sweep when the count
-exceeds the budget.  The poset decides only whether the sweep runs; the value
-never depends on it, and a finished sweep must own exactly the predicted
-number of positions.
+exceeds the budget.  The poset decides only whether the sweep runs; the
+value never depends on it, and the maximals must own exactly the predicted
+number of positions before any position is valued.
 """
 
 from __future__ import annotations
@@ -172,12 +173,35 @@ def _sweep(
     """Fold every position at or above ``base``, largest first.
 
     ``fold(seen, size)`` maps the OR of the children's cells, for the
-    positions of one size, to their cells.  Raises OracleBudgetError, before
-    any cell is folded, when more than ``budget`` positions own a cell, and
-    before any array is allocated when its stacks, padding lanes included,
-    need more than ``MAX_CELLS`` cells.
+    positions of one size, to their cells.  Every check comes first, in this
+    order, and all but the last before any array is allocated:
+
+    1. GeneratingSetError when ``base`` generates g;
+    2. OracleBudgetError when some maximal subgroup M containing ``base`` has
+       2^|M \\ base| > ``budget``: every subset of M that contains ``base``
+       is a position.  This reads only the maximal incidence;
+    3. OracleBudgetError when the class sizes predict more than ``budget``
+       positions;
+    4. OracleBudgetError when the stacks, padding lanes included, need more
+       than ``MAX_CELLS`` cells;
+    5. SolverConsistencyError, before the stacks are allocated, when the
+       maximals own a different number of positions than predicted.
     """
-    free = [m & ~base for m in maximal_incidence(g).maximals if base & ~m == 0]
+    incidence = maximal_incidence(g)
+    inc = incidence.of(base)
+    if not inc:
+        raise GeneratingSetError("the set generates the whole group")
+    free = [incidence.maximals[i] & ~base for i in bits(inc)]
+    top = max(f.bit_count() for f in free)
+    if 1 << top > budget:
+        raise OracleBudgetError(
+            f"at least 2^{top} positions, over the budget of {budget}"
+        )
+    predicted = sum(class_sizes(g, base))
+    if predicted > budget:
+        raise OracleBudgetError(
+            f"{predicted} positions, over the budget of {budget}"
+        )
     elems = [list(bits(f)) for f in free]
     # maximals with the same number of free elements share stacks of at
     # most 8 lanes
@@ -208,9 +232,10 @@ def _sweep(
             owned[j][jj] = False
             pairs.append((i, j, ii, jj, starts))
     positions = sum(int(np.count_nonzero(o)) for o in owned)
-    if positions > budget:
-        raise OracleBudgetError(
-            f"{positions} positions, over the budget of {budget}"
+    if positions != predicted:
+        raise SolverConsistencyError(
+            f"search visited {positions} positions, "
+            f"class sizes predict {predicted}"
         )
     effort = sum(
         int(by_level(len(f))[0][o].sum(dtype=np.int64)) for f, o in zip(elems, owned)
@@ -258,40 +283,10 @@ def _sweep(
     return _Sweep(elems=elems, cells=cells, positions=positions, effort=effort)
 
 
-def _preflight(g: Group, budget: int) -> int:
-    """Exact number of positions of g; OracleBudgetError if above ``budget``.
-
-    The lower bound 2^max|M| needs only the maximal subgroups, so a game that
-    is plainly too big is skipped without building the intersection poset.
-    """
-    top = max(m.order for m in maximal_subgroups(g))
-    if 1 << top > budget:
-        raise OracleBudgetError(
-            f"at least 2^{top} positions, over the budget of {budget}"
-        )
-    predicted = sum(class_sizes(g))
-    if predicted > budget:
-        raise OracleBudgetError(
-            f"{predicted} positions, over the budget of {budget}"
-        )
-    return predicted
-
-
-def _full_sweep(g: Group, budget: int, fold) -> _Sweep:
-    predicted = _preflight(g, budget)
-    sweep = _sweep(g, 0, budget, fold)
-    if sweep.positions != predicted:
-        raise SolverConsistencyError(
-            f"search visited {sweep.positions} positions, "
-            f"class sizes predict {predicted}"
-        )
-    return sweep
-
-
 def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Nim-number of the starting position, with the number of positions and
     the number of moves between them (``effort``)."""
-    sweep = _full_sweep(g, budget, _mex_bit)
+    sweep = _sweep(g, 0, budget, _mex_bit)
     return OracleResult(
         nim=sweep.base.bit_length() - 1,
         memo_size=sweep.positions,
@@ -301,7 +296,7 @@ def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
 
 def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Nim-numbers of every position, keyed by bitmask."""
-    sweep = _full_sweep(g, budget, _mex_bit)
+    sweep = _sweep(g, 0, budget, _mex_bit)
     table: dict[int, int] = {}
     for elems, cells in zip(sweep.elems, sweep.cells):
         masks = [0]  # masks[s] is the position at local index s
@@ -315,21 +310,12 @@ def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
 def brute_nim_position(g: Group, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """Nim-number of an arbitrary position, given as a bitmask.
 
-    Raises OracleBudgetError before sweeping when some maximal subgroup M
-    containing p has 2^(|M| - |p|) > ``budget``: every subset of M that
-    contains p is a position below p.  The sweep itself raises it when the
-    positions below p, counted exactly, exceed ``budget``.
+    The sweep values the positions at or above p, the non-generating sets
+    that contain p.  Before valuing any of them it raises GeneratingSetError
+    when p generates g, OracleBudgetError when more than ``budget`` of them
+    exist, and SolverConsistencyError when the maximal subgroups own a
+    different number than the class sizes predict.
     """
-    incidence = maximal_incidence(g)
-    inc = incidence.of(p)
-    if not inc:
-        raise GeneratingSetError("the set generates the whole group")
-    top = max(incidence.maximals[i].bit_count() for i in bits(inc))
-    if 1 << (top - p.bit_count()) > budget:
-        raise OracleBudgetError(
-            f"at least 2^{top - p.bit_count()} positions below this one, "
-            f"over the budget of {budget}"
-        )
     return _sweep(g, p, budget, _mex_bit).base.bit_length() - 1
 
 
@@ -343,4 +329,4 @@ def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
     parities = {m.order % 2 for m in maximal_subgroups(g)}
     if len(parities) != 1:
         raise ValueError("maximal subgroups have mixed parities")
-    return _full_sweep(g, budget, _winner_parities).base.bit_count() == 1
+    return _sweep(g, 0, budget, _winner_parities).base.bit_count() == 1

@@ -161,55 +161,30 @@ def game_nim(g: Group) -> int:
 
 
 def simplify(d: StructureDigraph) -> SimplifiedDiagram:
-    """Merge same-signature classes to a fixpoint and drop self-loops.
+    """Merge same-signature classes and drop self-loops.
 
     The signature of a node is its own type together with the set of its
-    option types plus its own type.
+    option types plus its own type.  One merge reaches the fixpoint: a merged
+    node's option types, plus its own type, are its members' common set, so
+    two merged nodes keep different signatures.  Merged nodes are sorted by
+    (type, least member order).
     """
     if not d.solved:
         raise ValueError("simplify needs a solved digraph")
-    triples = list(d.types)
-    orders = [s.order for s in d.nodes]
-    edges = set(d.edges)
-    while True:
-        succ: dict[int, set[TypeTriple]] = {i: set() for i in range(len(triples))}
-        for i, j in edges:
-            succ[i].add(triples[j])
-        sigs = {
-            i: (triples[i], frozenset(succ[i] | {triples[i]}))
-            for i in range(len(triples))
-        }
-        classes: dict[tuple, list[int]] = {}
-        for i, sig in sigs.items():
-            classes.setdefault(sig, []).append(i)
-        if len(classes) == len(triples):
-            break
-        keys = sorted(
-            classes,
-            key=lambda s: (
-                (s[0].parity, s[0].nim_even, s[0].nim_odd),
-                min(orders[i] for i in classes[s]),
-            ),
-        )
-        remap = {}
-        for new, key in enumerate(keys):
-            for i in classes[key]:
-                remap[i] = new
-        triples = [key[0] for key in keys]
-        orders = [min(orders[i] for i in classes[key]) for key in keys]
-        edges = {
-            (remap[i], remap[j]) for i, j in edges if remap[i] != remap[j]
-        }
-    order_idx = sorted(
-        range(len(triples)),
-        key=lambda i: ((triples[i].parity, triples[i].nim_even, triples[i].nim_odd), orders[i]),
-    )
-    pos = {old: new for new, old in enumerate(order_idx)}
+    options = [{t} for t in d.types]
+    for i, j in d.edges:
+        options[i].add(d.types[j])
+    classes: dict[tuple, list[int]] = {}
+    for i, t in enumerate(d.types):
+        classes.setdefault((t, frozenset(options[i])), []).append(i)
+    least = {sig: min(d.nodes[i].order for i in ids) for sig, ids in classes.items()}
+    keys = sorted(classes, key=lambda sig: (sig[0], least[sig]))
+    remap = {i: new for new, sig in enumerate(keys) for i in classes[sig]}
     nodes = tuple(
-        SimplifiedNode(triple=triples[i], min_member_order=orders[i]) for i in order_idx
+        SimplifiedNode(triple=sig[0], min_member_order=least[sig]) for sig in keys
     )
-    out_edges = tuple(sorted((pos[i], pos[j]) for i, j in edges if i != j))
-    return SimplifiedDiagram(nodes=nodes, edges=out_edges)
+    edges = {(remap[i], remap[j]) for i, j in d.edges if remap[i] != remap[j]}
+    return SimplifiedDiagram(nodes=nodes, edges=tuple(sorted(edges)))
 
 
 def emit_dot(d: Union[StructureDigraph, SimplifiedDiagram]) -> str:

@@ -104,6 +104,36 @@ def test_order_budget_exit_3(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["S2000", "A2000", "Z2 x S2000", "Dih(S3000)", "S1000000", "S1000"]
+)
+def test_oversized_spec_exit_3(capsys, spec):
+    # the order is evaluated only until it passes the budget, and not printed
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out) == (3, "")
+    assert err == f"error: {spec} has an order exceeding budget 720\n"
+
+
+def test_integer_too_long_exit_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "Z" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: the integer at offset 1 has 5000 digits, too many to read\n"
+
+
+def test_verify_catalog_oversized_specs(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    for spec, code, message in [
+        ("S2000", 3, "S2000 has an order exceeding budget 24"),
+        ("Z2 x S2000", 3, "Z2 x S2000 has an order exceeding budget 24"),
+        ("Dih(S3000)", 3, "Dih(S3000) has an order exceeding budget 24"),
+        ("Z" + "9" * 5000, 2, "the integer at offset 1 has 5000 digits, too many to read"),
+    ]:
+        f.write_text(f"S3\n{spec}\n")
+        assert run_cli(capsys, "verify", "--catalog", str(f)) == (
+            code, "", f"error: {f}:2: {message}\n"
+        ), spec
+
+
 def test_diagram_structure(capsys):
     code, out, _ = run_cli(capsys, "diagram", "S3")
     assert code == 0

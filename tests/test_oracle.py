@@ -75,6 +75,12 @@ def test_budget_exceeded():
 def test_class_sizes_count_positions(spec):
     g = build(parse_spec(spec))
     assert sum(class_sizes(g)) == brute_nim(g).memo_size
+    # above a base: the identity, each maximal and its largest element
+    table = brute_nim_table(g)
+    for m in maximal_subgroups(g):
+        for p in [1, m.mask, 1 << m.mask.bit_length() - 1]:
+            above = sum(1 for q in table if p & ~q == 0)
+            assert sum(class_sizes(g, p)) == above, p
 
 
 def test_class_sizes_s5_golden():
@@ -96,7 +102,14 @@ def test_budget_is_exact_cap():
 
 
 def _refuse(*args):
-    raise AssertionError("called although the preflight should have skipped")
+    raise AssertionError("called although the sweep should have skipped")
+
+
+def _refuse_arrays(monkeypatch):
+    """Make every array allocation of a sweep fail."""
+    monkeypatch.setattr(oracle.np, "zeros", _refuse)
+    monkeypatch.setattr(oracle.np, "ones", _refuse)
+    monkeypatch.setattr(oracle, "_by_level", _refuse)
 
 
 @pytest.mark.parametrize(
@@ -105,7 +118,7 @@ def _refuse(*args):
 )
 def test_skip_happens_before_search(monkeypatch, spec, budget):
     g = build(parse_spec(spec))
-    monkeypatch.setattr(oracle, "_sweep", _refuse)
+    _refuse_arrays(monkeypatch)
     with pytest.raises(OracleBudgetError):
         brute_nim(g, budget)
 
@@ -119,9 +132,27 @@ def test_lower_bound_skip_needs_no_poset(monkeypatch, spec, budget):
 
 
 def test_count_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(oracle, "class_sizes", lambda g: (13,))
+    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (13,))
     with pytest.raises(SolverConsistencyError, match="14.*13"):
         brute_nim(make_symmetric(3))
+
+
+def test_count_mismatch_raises_before_the_budget(monkeypatch):
+    # 5016 positions pass a budget of 5010 only because the prediction is
+    # 16 short, and the owned count catches it
+    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (5000,))
+    with pytest.raises(SolverConsistencyError, match="5016.*5000"):
+        brute_nim(make_symmetric(4), budget=5010)
+
+
+def test_position_count_mismatch_raises(monkeypatch):
+    # {e} in Z8 lies below 8 positions: the subsets of its maximal of order 4
+    z8 = make_cyclic(8)
+    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (7,))
+    monkeypatch.setattr(oracle.np, "zeros", _refuse)  # the stacks
+    monkeypatch.setattr(oracle, "_by_level", _refuse)
+    with pytest.raises(SolverConsistencyError, match="8.*7"):
+        brute_nim_position(z8, 1)
 
 
 def test_cell_cap_skips_before_allocating(monkeypatch):
@@ -136,7 +167,7 @@ def test_cell_cap_counts_padding_lanes(monkeypatch):
     # S3 x S3: 6 maximals of order 12 take a stack of 8 lanes and 3 of order
     # 18 one of 4, so 811,008 cells of maximals allocate 1,081,344
     g = build(parse_spec("S3 x S3"))
-    class_sizes(g)  # the preflight's poset, built before numpy is patched
+    class_sizes(g)  # the sweep's poset, built before numpy is patched
     monkeypatch.setattr(oracle, "MAX_CELLS", 1_000_000)
     monkeypatch.setattr(oracle.np, "zeros", _refuse)
     monkeypatch.setattr(oracle.np, "ones", _refuse)
@@ -199,7 +230,8 @@ def test_full_odd_maximal_is_terminal():
 def test_position_skips_before_a_deep_search(monkeypatch):
     # a sweep would allocate 2^1001 cells for the maximal subgroup of order 1001
     z2002 = make_cyclic(2002, budget=3000)
-    monkeypatch.setattr(oracle, "_sweep", _refuse)
+    _refuse_arrays(monkeypatch)
+    monkeypatch.setattr(oracle, "class_sizes", _refuse)
     with pytest.raises(OracleBudgetError, match=r"at least 2\^1001 positions"):
         brute_nim_position(z2002, 0, budget=5000)
 

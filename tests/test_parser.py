@@ -23,6 +23,17 @@ def test_left_associative_product():
     assert spec_order(ast) == 18
 
 
+def test_capped_order_is_exact_or_above_the_cap():
+    for text in ["S1", "A2", "S5", "A5", "S6", "D721", "Dic200", "Z2 x S4", "Dih(Z3 x Z3)"]:
+        spec = parse_spec(text)
+        exact = spec_order(spec)
+        for cap in [1, 24, 100, 720]:
+            capped = spec_order(spec, cap)
+            assert capped == exact if capped is not None else exact > cap, (text, cap)
+    assert spec_order(parse_spec("S5"), 100) == 120
+    assert spec_order(Symmetric(10**6), 720) is None  # stops at 7! > 720
+
+
 def test_dih_atom():
     ast = parse_spec("Dih(Z5)")
     assert ast == GeneralizedDihedralOf(Cyclic(5))

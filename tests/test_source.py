@@ -1,18 +1,21 @@
 """Source checks: the package makes no BLAS call and reads no environment
-variable, the structure solver does not import the oracle, and the lattice
-does not import numpy.
+variable, none of the three routes imports another, and the lattice does not
+import numpy.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
 value read from the environment would be an option that no test or
-benchmark sets, so tuning constants stay constants.  The solver and the
-oracle are two of the three independent routes to the nim-number, so neither
-may lean on the other's code.  The lattice answers containment with Python
-ints, so only the group tables and the oracle's sweep need numpy.
+benchmark sets, so tuning constants stay constants.  The checklist
+classifier, the structure solver and the oracle are three independent routes
+to the nim-number, so none may lean on another's code.  The lattice answers
+containment with Python ints, so only the group tables and the oracle's
+sweep need numpy.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import dng
 
@@ -114,6 +117,20 @@ def test_check_sees_oracle_imports():
 def test_solver_imports_nothing_from_the_oracle():
     path = Path(dng.__file__).parent / "solver.py"
     assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "oracle") == []
+
+
+@pytest.mark.parametrize(
+    "route, others",
+    [
+        ("oracle", ["solver", "classify"]),
+        ("classify", ["solver", "oracle"]),
+        ("solver", ["classify"]),  # and the oracle, above
+    ],
+)
+def test_routes_import_nothing_from_each_other(route, others):
+    path = Path(dng.__file__).parent / f"{route}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert {m: _imports_of(tree, m) for m in others} == {m: [] for m in others}
 
 
 def test_check_sees_numpy_imports():
