@@ -160,9 +160,32 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
     return np.argmax(zeros, axis=1).astype(np.int32)
 
 
-def _check_budget(order: int, budget: int, what: str) -> None:
+def capped_product(factors: Iterable[int | None], cap: int | None = None) -> int | None:
+    """Product of ``factors``, a group order built up one factor at a time.
+
+    With a ``cap`` no product is formed from a number above it, and None
+    stands for an order above the cap: ``S1000000`` under a cap of 720 stops
+    at 7!.  A factor taken into an order of 1 forms no product, so a lone
+    factor comes back as it is.  A None factor gives None.
+    """
+    order = 1
+    for k in factors:
+        if k is None or cap is not None and order > 1 and max(order, k) > cap:
+            return None
+        order *= k
+    return order
+
+
+def check_budget(factors: Iterable[int | None], budget: int, what: str) -> int:
+    """The order ``capped_product(factors, budget)``, raising BudgetError
+    above the budget; the message gives the order only when it was reached
+    exactly."""
+    order = capped_product(factors, budget)
+    if order is None:
+        raise BudgetError(f"{what} has an order exceeding budget {budget}")
     if order > budget:
         raise BudgetError(f"{what} has order {order}, exceeding budget {budget}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +196,7 @@ def make_cyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     """Cyclic group Z_n with table[a][b] = (a+b) mod n."""
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    _check_budget(n, budget, f"Z{n}")
+    check_budget([n], budget, f"Z{n}")
     t = (np.arange(n)[:, None] + np.arange(n)) % n
     return Group.from_table(t, f"Z{n}", check_associativity=False)
 
@@ -190,7 +213,7 @@ def make_generalized_dihedral(a: Group, budget: int = ORDER_BUDGET) -> Group:
     if not is_abelian(a):
         raise NonAbelianError(f"Dih argument {a.name} is not abelian")
     m = a.order
-    _check_budget(2 * m, budget, f"Dih({a.name})")
+    check_budget([2, m], budget, f"Dih({a.name})")
     ta = a.table
     tinv = ta[:, a.inverses]  # a_i * a_j^-1
     # element a_i * t^e; (a_i t^e1)(a_j t^e2) = a_i a_j^((-1)^e1) t^(e1 xor e2)
@@ -202,7 +225,7 @@ def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     """Dicyclic (generalized quaternion) group of order 4n, n >= 2."""
     if n < 2:
         raise ValueError("dicyclic group needs n >= 2")
-    _check_budget(4 * n, budget, f"Dic{n}")
+    check_budget([4, n], budget, f"Dic{n}")
     m = 2 * n  # order of <x>
     # element x^i y^j with id j*m + i, on axes (j, i) x (l, k):
     # x^i y^j x^k y^l = x^(i + (-1)^j k) y^(j+l), and y^2 = x^n
@@ -238,7 +261,7 @@ def make_symmetric(n: int, budget: int = ORDER_BUDGET) -> Group:
     """Symmetric group on n letters via permutation composition."""
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
-    _check_budget(math.factorial(n), budget, f"S{n}")
+    check_budget(range(2, n + 1), budget, f"S{n}")
     perms = list(permutations(range(n)))  # identity comes first
     return _perm_group(perms, f"S{n}")
 
@@ -247,16 +270,14 @@ def make_alternating(n: int, budget: int = ORDER_BUDGET) -> Group:
     """Alternating group on n letters (even permutations)."""
     if n < 1:
         raise ValueError("alternating group needs n >= 1")
-    order = max(math.factorial(n) // 2, 1)
-    _check_budget(order, budget, f"A{n}")
+    check_budget(range(3, n + 1), budget, f"A{n}")  # n!/2, and 1 below A3
     perms = [p for p in permutations(range(n)) if _perm_parity(p) == 0]
     return _perm_group(perms, f"A{n}")
 
 
 def direct_product(g: Group, h: Group, budget: int = ORDER_BUDGET) -> Group:
     """Component-wise product on pairs, flattened to ids (a, b) -> a*|h|+b."""
-    n = g.order * h.order
-    _check_budget(n, budget, f"{g.name} x {h.name}")
+    n = check_budget([g.order, h.order], budget, f"{g.name} x {h.name}")
     t = (g.table[:, None, :, None] * h.order + h.table[None, :, None, :]).reshape(n, n)
     return Group.from_table(t, f"{g.name} x {h.name}", check_associativity=False)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .errors import BudgetError, SpecSyntaxError, SpecValueError
+from .errors import SpecSyntaxError, SpecValueError
 from .groups import Group, ORDER_BUDGET
 
 
@@ -60,6 +60,12 @@ class DirectProduct(GroupSpec):
     right: GroupSpec
 
 
+#: Most atoms a spec may have, each ``Dih(`` and ``(`` counted as one.  Any
+#: atom but Z1, S1, A1, A2 and ``(`` at least doubles the order, so a group of
+#: order below 2^64 never needs more, and every recursion over a spec stays
+#: far below the interpreter's limit.
+MAX_ATOMS = 64
+
 _ATOM_EXPECTED = frozenset({'"Z"', '"D"', '"Dic"', '"S"', '"A"', '"Dih("', '"("'})
 
 
@@ -67,6 +73,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.atoms = 0
 
     def _ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -97,6 +104,12 @@ class _Parser:
 
     def atom(self) -> GroupSpec:
         self._ws()
+        self.atoms += 1
+        if self.atoms > MAX_ATOMS:
+            raise SpecValueError(
+                f"the atom at offset {self.pos} is past the limit of {MAX_ATOMS} "
+                "atoms, each Dih( and ( counted as one"
+            )
         if self._lit("Dih("):
             inner = self.spec()
             self._ws()
@@ -179,8 +192,8 @@ def spec_order(spec: GroupSpec, cap: int | None = None) -> int | None:
     if least is not None and spec.n < least:
         raise SpecValueError(f"{print_spec(spec)} names no group: needs n >= {least}")
     if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, Dihedral):
+        factors = [spec.n]
+    elif isinstance(spec, Dihedral):
         factors = [2, spec.n]
     elif isinstance(spec, Dicyclic):
         factors = [4, spec.n]
@@ -194,24 +207,12 @@ def spec_order(spec: GroupSpec, cap: int | None = None) -> int | None:
         factors = [spec_order(spec.left, cap), spec_order(spec.right, cap)]
     else:
         raise TypeError(f"not a GroupSpec: {spec!r}")
-    order = 1
-    for k in factors:
-        if k is None or cap is not None and max(order, k) > cap:
-            return None
-        order *= k
-    return order
+    return groups.capped_product(factors, cap)
 
 
 def check_order(spec: GroupSpec, budget: int = ORDER_BUDGET) -> int:
     """``spec_order`` up to the budget, raising BudgetError above it."""
-    order = spec_order(spec, budget)
-    if order is None:
-        raise BudgetError(f"{print_spec(spec)} has an order exceeding budget {budget}")
-    if order > budget:
-        raise BudgetError(
-            f"{print_spec(spec)} has order {order}, exceeding budget {budget}"
-        )
-    return order
+    return groups.check_budget([spec_order(spec, budget)], budget, print_spec(spec))
 
 
 def build(spec: GroupSpec, budget: int = ORDER_BUDGET) -> Group:

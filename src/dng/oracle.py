@@ -25,6 +25,11 @@ reaches glibc's mmap threshold:
    value from maximal i to maximal j, so each copy of a position holds its
    owner's value before the next level reads it.
 
+Steps 2 and 4 take a pair's whole shared power set at every level up to its
+size: a shared subset above the level holds its owner's value in both
+maximals, copied at its own level, and one below is still 0 in both, as a
+level writes only its own cells, so OR and copy leave both unchanged.
+
 Each subset of size s is the child of exactly s positions, so the number of
 moves (``effort``) is the sum of the sizes of the owned subsets.  Values are
 kept per literal subset and never read the structure classes, so the oracle
@@ -138,13 +143,13 @@ def _by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sizes, order, np.array(starts)
 
 
-def _embed(subsets: np.ndarray, shared: int, elems: list[int]) -> np.ndarray:
-    """Local indices, in a maximal whose free elements are ``elems``, of the
-    ``subsets`` of ``shared`` (bit b for its b-th element)."""
-    local = np.array([0], dtype=np.int64)  # local[s] is the index of subset s
-    for x in bits(shared):
-        local = np.concatenate([local, local | 1 << elems.index(x)])
-    return local[subsets]
+def _unions(weights: list[int]) -> list[int]:
+    """The OR of the weights in each subset: entry s for the subset whose
+    bit b stands for ``weights[b]``."""
+    unions = [0]
+    for w in weights:
+        unions += [u | w for u in unions]
+    return unions
 
 
 def _width(lanes: list[int]) -> int:
@@ -214,31 +219,24 @@ def _sweep(
         raise OracleBudgetError(
             f"{count} cells to sweep, over the cap of {MAX_CELLS}"
         )
-    levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if n not in levels:
-            levels[n] = _by_level(n)
-        return levels[n]
-
+    bit = [{x: 1 << b for b, x in enumerate(e)} for e in elems]
     owned = [np.ones(1 << len(f), dtype=bool) for f in elems]
-    pairs = []
+    pairs = []  # (k, i, j, ii, jj): the 2^k shared subsets' local indices
     for i in range(len(free)):
         for j in range(i + 1, len(free)):
-            shared = free[i] & free[j]
-            _, subsets, starts = by_level(shared.bit_count())
-            ii = _embed(subsets, shared, elems[i])
-            jj = _embed(subsets, shared, elems[j])
+            shared = list(bits(free[i] & free[j]))
+            ii, jj = (np.array(_unions([bit[m][x] for x in shared])) for m in (i, j))
             owned[j][jj] = False
-            pairs.append((i, j, ii, jj, starts))
+            pairs.append((len(shared), i, j, ii, jj))
     positions = sum(int(np.count_nonzero(o)) for o in owned)
     if positions != predicted:
         raise SolverConsistencyError(
             f"search visited {positions} positions, "
             f"class sizes predict {predicted}"
         )
+    levels = {n: _by_level(n) for n in set(map(len, elems))}
     effort = sum(
-        int(by_level(len(f))[0][o].sum(dtype=np.int64)) for f, o in zip(elems, owned)
+        int(levels[len(f)][0][o].sum(dtype=np.int64)) for f, o in zip(elems, owned)
     )
 
     column: dict[int, np.ndarray] = {}  # per maximal, its lane of a stack
@@ -254,7 +252,7 @@ def _sweep(
         """Each stack with one chunk of its subsets at this level at a time."""
         for n, words in stacks:
             if level <= n:
-                _, order, starts = by_level(n)
+                _, order, starts = levels[n]
                 at = order[starts[level] : starts[level + 1]]
                 for lo in range(0, len(at), CHUNK_CELLS):
                     yield n, words, at[lo : lo + CHUNK_CELLS].astype(np.intp)
@@ -268,11 +266,7 @@ def _sweep(
             for b in range(n):
                 seen |= np.take(words, part | 1 << b)
             words[part] = seen
-        live = []  # the pairs whose shared subsets include this level
-        for i, j, ii, jj, starts in pairs:
-            if level < len(starts) - 1:
-                s = slice(starts[level], starts[level + 1])
-                live.append((cells[i], cells[j], ii[s], jj[s]))
+        live = [(cells[i], cells[j], ii, jj) for k, i, j, ii, jj in pairs if level <= k]
         for ci, cj, ii, jj in live:  # owners see the children in every maximal
             ci[ii] |= cj[jj]
         for n, words, part in chunks(level):
@@ -299,9 +293,7 @@ def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     sweep = _sweep(g, 0, budget, _mex_bit)
     table: dict[int, int] = {}
     for elems, cells in zip(sweep.elems, sweep.cells):
-        masks = [0]  # masks[s] is the position at local index s
-        for x in elems:
-            masks += [m | 1 << x for m in masks]
+        masks = _unions([1 << x for x in elems])  # the position at each index
         nims = np.bitwise_count(cells - _ONE)  # 1 << v minus 1 has v bits
         table.update(zip(masks, nims.tolist()))
     return table

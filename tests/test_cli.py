@@ -114,6 +114,35 @@ def test_oversized_spec_exit_3(capsys, spec):
     assert err == f"error: {spec} has an order exceeding budget 720\n"
 
 
+#: The message for an atom past the limit of 64.
+ATOM_LIMIT = (
+    "the atom at offset {} is past the limit of 64 atoms, each Dih( and ( counted as one"
+)
+
+
+@pytest.mark.parametrize(
+    "spec,offset",
+    [
+        ("(" * 3000 + "Z2" + ")" * 3000, 64),
+        ("Dih(" * 1500 + "Z2" + ")" * 1500, 256),
+        (" x ".join(["Z1"] * 1000), 320),
+    ],
+    ids=["parentheses", "dih", "product"],
+)
+def test_deep_spec_exit_2(capsys, spec, offset):
+    # a nesting past the interpreter's recursion limit fails in the parser
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out, err) == (2, "", f"error: {ATOM_LIMIT.format(offset)}\n")
+
+
+def test_verify_catalog_deep_spec(tmp_path, capsys):
+    f = tmp_path / "specs.txt"
+    f.write_text("S3\n" + " x ".join(["Z1"] * 1000) + "\n")
+    assert run_cli(capsys, "verify", "--catalog", str(f)) == (
+        2, "", f"error: {f}:2: {ATOM_LIMIT.format(320)}\n"
+    )
+
+
 def test_integer_too_long_exit_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "Z" + "9" * 5000)
     assert (code, out) == (2, "")

@@ -276,7 +276,10 @@ def test_oracle_matches_reference_search(built, searched, spec):
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_position_matches_reference_search(built, searched, spec):
     g, ref = built(spec), searched(spec)
-    for p in [0, *ref.maximals]:
+    # the other members of the intersection poset: bases in two or more
+    # maximals, some of whose pairs share no free element
+    members = sorted(reference_intersection_masks(ref.maximals) - set(ref.maximals))
+    for p in [0, *ref.maximals, *members]:
         assert brute_nim_position(g, p) == ref.nim(p)
 
 

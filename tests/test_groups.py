@@ -55,6 +55,25 @@ def test_cyclic_budget():
         make_cyclic(1000)
 
 
+@pytest.mark.parametrize(
+    "make,n,budget,message",
+    [
+        (make_symmetric, 2000, 720, "S2000 has an order exceeding budget 720"),
+        (make_symmetric, 10**6, 720, "S1000000 has an order exceeding budget 720"),
+        (make_alternating, 2000, 720, "A2000 has an order exceeding budget 720"),
+        (make_alternating, 10**6, 720, "A1000000 has an order exceeding budget 720"),
+        (make_symmetric, 5, 100, "S5 has order 120, exceeding budget 100"),
+        (make_alternating, 6, 100, "A6 has order 360, exceeding budget 100"),
+    ],
+)
+def test_permutation_group_budget(make, n, budget, message):
+    # the order is multiplied up only until it passes the budget, never to n!,
+    # and the message gives it only when it was reached exactly
+    with pytest.raises(BudgetError) as exc:
+        make(n, budget)
+    assert str(exc.value) == message
+
+
 def test_generalized_dihedral_of_z3():
     g = make_generalized_dihedral(make_cyclic(3))
     assert g.order == 6

@@ -212,6 +212,31 @@ def test_cell_cap_keeps_default_budget_decisions(catalog96):
             assert _allocated_cells(maximals) <= oracle.MAX_CELLS, spec
 
 
+@pytest.mark.parametrize(
+    "weights", [[], [1], [4, 1], [1 << 9, 1 << 3, 1 << 40], [3, 5, 6]]
+)
+def test_unions_or_each_subsets_weights(weights):
+    unions = oracle._unions(weights)
+    assert len(unions) == 1 << len(weights)
+    for s, u in enumerate(unions):
+        expected = 0
+        for b, w in enumerate(weights):
+            if s >> b & 1:
+                expected |= w
+        assert u == expected, s
+
+
+@pytest.mark.parametrize("spec", ["A5", "S3 x S3", "Z2 x Z2 x Z2 x Z2"])
+def test_level_order_only_for_stacks(monkeypatch, spec):
+    # pairs exchange their whole shared power sets, so only the stacks, one
+    # per free size of a maximal, need a level order
+    g = build(parse_spec(spec))
+    real, sizes = oracle._by_level, []
+    monkeypatch.setattr(oracle, "_by_level", lambda n: sizes.append(n) or real(n))
+    brute_nim(g)
+    assert sorted(sizes) == sorted({m.order for m in maximal_subgroups(g)})
+
+
 def test_position_empty_equals_game():
     g = build(parse_spec("Z6 x Z2"))
     assert brute_nim_position(g, 0) == brute_nim(g).nim

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dng.errors import BudgetError, NonAbelianError, SpecSyntaxError
+from dng.errors import BudgetError, NonAbelianError, SpecSyntaxError, SpecValueError
 from dng.groupspec import (
+    MAX_ATOMS,
     Alternating,
     Cyclic,
     Dicyclic,
@@ -32,6 +33,24 @@ def test_capped_order_is_exact_or_above_the_cap():
             assert capped == exact if capped is not None else exact > cap, (text, cap)
     assert spec_order(parse_spec("S5"), 100) == 120
     assert spec_order(Symmetric(10**6), 720) is None  # stops at 7! > 720
+
+
+def test_atom_limit():
+    # 64 atoms, each Dih( and ( counted as one, parse and evaluate
+    product = " x ".join(["Z2"] * MAX_ATOMS)
+    assert spec_order(parse_spec(product)) == 2**MAX_ATOMS
+    assert print_spec(parse_spec(product)) == product
+    assert spec_order(parse_spec("(" * 63 + "Z2" + ")" * 63)) == 2
+    assert spec_order(parse_spec("Dih(" * 63 + "Z2" + ")" * 63)) == 2**64
+    # one more fails where the 65th starts, before any deep recursion
+    for text, offset in [
+        ("(" * 3000 + "Z2" + ")" * 3000, 64),
+        ("Dih(" * 1500 + "Z2" + ")" * 1500, 256),
+        (" x ".join(["Z1"] * 1000), 320),
+        (product + " x Z2", 320),
+    ]:
+        with pytest.raises(SpecValueError, match=f"offset {offset} is past the limit"):
+            parse_spec(text)
 
 
 def test_dih_atom():
