@@ -82,7 +82,9 @@ def barnes_first_player_wins(g: Group) -> bool:
 
     The quantifier over involutions is vacuous for groups without any.
     <x, t> depends on x only through <x>, so one generator of each odd-order
-    cyclic subgroup is tried.
+    cyclic subgroup is tried.  Conjugating by x maps <x, t> onto
+    <x, x*t*x^-1>, which is g iff <x, t> is, so one involution t of each
+    orbit of conjugation by x is closed.
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
@@ -92,9 +94,20 @@ def barnes_first_player_wins(g: Group) -> bool:
     for x, (k, c) in enumerate(zip(orders, g.cyclic_masks)):
         if k % 2:
             generator.setdefault(c, x)
+    cols = g.columns
     full = g.full_mask
     for x in generator.values():
-        if all(closure_mask(g, 1 << x | 1 << t) == full for t in involutions):
+        by_inverse = cols[int(g.inverses[x])]  # a -> a*x^-1
+        seen = bytearray(g.order)
+        for t in involutions:
+            if seen[t]:
+                continue
+            if closure_mask(g, 1 << x | 1 << t) != full:
+                break
+            while not seen[t]:  # the orbit of t, t -> x*t*x^-1
+                seen[t] = 1
+                t = by_inverse[cols[t][x]]
+        else:
             return True
     return False
 

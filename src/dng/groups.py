@@ -140,11 +140,13 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
         raise ValueError("Cayley table must be a nonempty square matrix")
     n = t.shape[0]
     ids = np.arange(n, dtype=np.int32)
-    if not (np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids)):
+    # each check compares whole arrays with one ``==`` and ``all``, which
+    # costs far less per call than ``np.array_equal`` on small tables
+    if not ((t[0] == ids).all() and (t[:, 0] == ids).all()):
         raise ValueError("element 0 is not a two-sided identity")
-    if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ids, t.shape)):
+    if not (np.sort(t, axis=1) == ids).all():
         raise ValueError("some row is not a permutation of 0..n-1")
-    if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ids[:, None], t.shape)):
+    if not (np.sort(t, axis=0) == ids[:, None]).all():
         raise ValueError("some column is not a permutation of 0..n-1")
     zeros = t == 0
     unique = np.count_nonzero(zeros, axis=1) == 1
@@ -155,7 +157,7 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
     if check_associativity:
         # (a*b)*c == a*(b*c), checked one row of a at a time to bound memory.
         for a in range(n):
-            if not np.array_equal(t[t[a], :], t[a][t]):
+            if not (t[t[a], :] == t[a][t]).all():
                 raise ValueError(f"associativity fails for a={a}")
     return np.argmax(zeros, axis=1).astype(np.int32)
 
@@ -197,7 +199,9 @@ def make_cyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
     check_budget([n], budget, f"Z{n}")
-    t = (np.arange(n)[:, None] + np.arange(n)) % n
+    ids = np.arange(n, dtype=np.int32)
+    t = ids[:, None] + ids  # below 2n, so one subtraction of n reduces it
+    np.subtract(t, n, out=t, where=t >= n)
     return Group.from_table(t, f"Z{n}", check_associativity=False)
 
 
@@ -217,7 +221,11 @@ def make_generalized_dihedral(a: Group, budget: int = ORDER_BUDGET) -> Group:
     ta = a.table
     tinv = ta[:, a.inverses]  # a_i * a_j^-1
     # element a_i * t^e; (a_i t^e1)(a_j t^e2) = a_i a_j^((-1)^e1) t^(e1 xor e2)
-    t = np.block([[ta, ta + m], [tinv + m, tinv]])
+    t = np.empty((2 * m, 2 * m), dtype=np.int32)
+    t[:m, :m] = ta
+    t[:m, m:] = ta + m
+    t[m:, :m] = tinv + m
+    t[m:, m:] = tinv
     return Group.from_table(t, f"Dih({a.name})", check_associativity=False)
 
 

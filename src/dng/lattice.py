@@ -7,9 +7,10 @@ element is a product of prime-power powers of itself, so every subgroup is a
 join of seeds.  Starting from the trivial subgroup, one
 representative of each conjugacy class is joined with every seed (a coset
 walk, ``groups.join_element``, that multiplies by a generating set of the
-representative: its parent's generators and the seed that made it); a join
-not seen before is a new class, whose members are listed at once by
-conjugating with a generating set of g.  Since <H, hx> = <H, x> for h in H,
+representative: its parent's generators and the seed that made it, except
+that the trivial subgroup's join with a seed is the seed); a join not seen
+before is a new class, whose members are listed at once by conjugating with
+a generating set of g.  Since <H, hx> = <H, x> for h in H,
 a representative is joined with at most one seed per right coset.  Joins
 whose result Lagrange's theorem fixes are skipped: when K contains H with
 prime index, no subgroup lies strictly between them, so <H, x> = K for every
@@ -172,6 +173,7 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
     primes = {k for k in set(g.element_orders) if k > 1 and _least_prime(k) == k}
     seed_gens = mask_of(x for _, x in seeds)
     cols = g.columns
+    cyclic = g.cyclic_masks
     found = {1, full}
     # The proper nontrivial subgroups found so far, numbered as found: bit i
     # of of_order[k] is set iff listed[i] has order k, and bit i of
@@ -214,7 +216,8 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
             x = low.bit_length() - 1
             if coset[x]:
                 continue
-            j = join_element(g, members, gens, x)
+            # <1, x> = <x>, which the cyclic subgroup walks already hold
+            j = cyclic[x] if k == 1 else join_element(g, members, gens, x)
             if j != full:
                 maximal = False
                 size = j.bit_count()

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from _helpers import matrix_group_2x2
@@ -82,6 +84,22 @@ def test_barnes_reads_no_maximal_subgroup(monkeypatch):
     monkeypatch.setattr(lattice, "maximal_incidence", _refuse)
     got = [barnes_first_player_wins(g) for _, g in builtin_catalog(24)]
     assert got == expected
+
+
+def test_barnes_closes_one_involution_per_conjugation_orbit(monkeypatch):
+    """Conjugation by the rotation r of D45 maps each reflection t to
+    r*t*r^-1 = t*r^-2, and r^-2 generates <r>, so all 45 reflections are one
+    orbit and <r, t> is closed for one of them."""
+    g = build(parse_spec("D45"))
+    calls = []
+    module = sys.modules["dng.classify"]  # dng.classify is also a function
+    monkeypatch.setattr(
+        module, "closure_mask", lambda g, m: calls.append(m) or closure_mask(g, m)
+    )
+    assert barnes_first_player_wins(g)
+    rotation = g.element_orders.index(45)  # the generator Barnes tries
+    assert sum(m >> rotation & 1 for m in calls) == 1
+    assert len(calls) == 2  # the identity fails on its first involution
 
 
 def test_cyclic_formula_values():

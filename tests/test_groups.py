@@ -264,11 +264,42 @@ def test_group_axioms_exhaustively(spec):
                 assert t[t[a][b]][c] == t[a][t[b][c]]
 
 
+#: A loop of order 5: a Latin square with identity 0 that is no group table.
+_LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_from_table_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        Group.from_table([[0, 1], [1, 1]], "bad")
-    with pytest.raises(ValueError):
-        Group.from_table([[1, 0], [0, 1]], "no-identity")
+    """Each check of the table fires on its own fault with its own message,
+    and a table with several faults is named by the first check."""
+    shape = "nonempty square matrix"
+    identity = "element 0 is not a two-sided identity"
+    row = "some row is not a permutation"
+    column = "some column is not a permutation"
+    cases = [
+        ([], shape),
+        (np.zeros((0, 0)), shape),
+        ([[0, 1, 2], [1, 2, 0]], shape),
+        (np.zeros((2, 2, 2)), shape),
+        ([[1, 0], [0, 1]], identity),
+        ([[0, 2, 1], [1, 2, 0], [2, 0, 1]], identity),  # row 0
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], identity),  # column 0
+        ([[1, 1], [1, 1]], identity),  # no row or column is a permutation
+        ([[0, 1], [1, 1]], row),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], row),  # and no column either
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], column),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Group.from_table(table, "bad")
+    with pytest.raises(ValueError, match="associativity fails for a=1"):
+        Group.from_table(_LOOP5, "loop", check_associativity=True)
+    assert Group.from_table(_LOOP5, "loop", check_associativity=False).order == 5
 
 
 def test_is_abelian():

@@ -7,6 +7,7 @@ against the closure loops."""
 from _helpers import (
     ReferenceSearch,
     d_or_cap,
+    reference_barnes_first_player_wins,
     reference_cyclic_mask,
     reference_element_order,
     reference_enumerate,
@@ -18,7 +19,7 @@ from _helpers import (
 from hypothesis import event, given, reject, settings, strategies as st
 
 from dng.catalog import catalog_specs
-from dng.classify import classify, is_nilpotent
+from dng.classify import barnes_first_player_wins, classify, is_nilpotent
 from dng.errors import NonAbelianError, OracleBudgetError
 from dng.groups import Group, min_generators
 from dng.groupspec import (
@@ -66,6 +67,7 @@ def _invariants(g: Group) -> tuple:
         emit_dot(simplify(d)),
         is_nilpotent(g),
         largest_odd_normal_in_frattini(g).order,
+        barnes_first_player_wins(g),
     )
 
 
@@ -161,5 +163,6 @@ def test_generation_queries_match_closure_loops(spec):
     assert g.element_orders == [reference_element_order(g, x) for x in range(g.order)]
     assert g.cyclic_masks == [reference_cyclic_mask(g, x) for x in range(g.order)]
     assert _seeds(g) == reference_seeds(g)
+    assert barnes_first_player_wins(g) == reference_barnes_first_player_wins(g)
     for cap in range(1, 5):
         assert d_or_cap(min_generators, g, cap) == d_or_cap(reference_min_generators, g, cap)
