@@ -90,13 +90,11 @@ def barnes_first_player_wins(g: Group) -> bool:
         raise TrivialGroupError("no avoidance game for the trivial group")
     orders = g.element_orders
     involutions = [t for t, k in enumerate(orders) if k == 2]
-    generator: dict[int, int] = {}
-    for x, (k, c) in enumerate(zip(orders, g.cyclic_masks)):
-        if k % 2:
-            generator.setdefault(c, x)
     cols = g.columns
     full = g.full_mask
-    for x in generator.values():
+    for x in g.cyclic_generators:
+        if orders[x] % 2 == 0:
+            continue
         by_inverse = cols[int(g.inverses[x])]  # a -> a*x^-1
         seen = bytearray(g.order)
         for t in involutions:

@@ -72,9 +72,9 @@ class Group:
         return f"Group({self.name!r}, order={self.order})"
 
     @functools.cached_property
-    def _cyclic(self) -> tuple[list[int], list[int]]:
-        """The order of each element and the bitmask of the cyclic subgroup
-        it generates.
+    def _cyclic(self) -> tuple[list[int], list[int], list[int]]:
+        """The order of each element, the bitmask of the cyclic subgroup it
+        generates, and the least generator of each cyclic subgroup.
 
         One walk per cyclic subgroup starts from its least generator x and
         multiplies x in until the identity; x^e generates the same subgroup
@@ -82,9 +82,11 @@ class Group:
         """
         orders = [0] * self.order
         masks = [0] * self.order
+        generators = []
         for x, col in enumerate(self.columns):
             if orders[x]:
                 continue  # x generates a cyclic subgroup walked already
+            generators.append(x)
             powers = [0]  # x^0, x^1, ...
             y = x
             while y:
@@ -96,7 +98,7 @@ class Group:
                 if math.gcd(e, k) == 1:
                     orders[y] = k
                     masks[y] = mask
-        return orders, masks
+        return orders, masks, generators
 
     @property
     def element_orders(self) -> list[int]:
@@ -107,6 +109,12 @@ class Group:
     def cyclic_masks(self) -> list[int]:
         """Bitmask of the cyclic subgroup each element generates: its powers."""
         return self._cyclic[1]
+
+    @property
+    def cyclic_generators(self) -> list[int]:
+        """The least generator of each cyclic subgroup, ascending; the
+        identity's comes first."""
+        return self._cyclic[2]
 
     @functools.cached_property
     def columns(self) -> list[list[int]]:
@@ -148,10 +156,6 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
         raise ValueError("some row is not a permutation of 0..n-1")
     if not (np.sort(t, axis=0) == ids[:, None]).all():
         raise ValueError("some column is not a permutation of 0..n-1")
-    zeros = t == 0
-    unique = np.count_nonzero(zeros, axis=1) == 1
-    if not unique.all():
-        raise ValueError(f"element {int(np.argmin(unique))} has no unique inverse")
     if check_associativity is None:
         check_associativity = n <= ASSOC_CHECK_BOUND
     if check_associativity:
@@ -159,7 +163,8 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
         for a in range(n):
             if not (t[t[a], :] == t[a][t]).all():
                 raise ValueError(f"associativity fails for a={a}")
-    return np.argmax(zeros, axis=1).astype(np.int32)
+    # each row is a permutation, so it holds exactly one identity
+    return np.argmax(t == 0, axis=1).astype(np.int32)
 
 
 def capped_product(factors: Iterable[int | None], cap: int | None = None) -> int | None:
@@ -385,32 +390,23 @@ def join_element(g: Group, members: list[int], gens: list[int], x: int) -> int:
     return int(seen[::-1].translate(_BINARY_DIGITS), 2)
 
 
-def join_mask(g: Group, closed: int, gens: list[int], extra: int) -> int:
-    """Subgroup generated by an already-closed subgroup, which ``gens``
-    generate, plus extra elements.
-
-    Folds ``join_element`` over the extra elements not yet in the result;
-    each element joined is added to the generators.
-    """
-    gens = list(gens)
-    fresh = extra & ~closed
-    while fresh:
-        x = (fresh & -fresh).bit_length() - 1
-        closed = join_element(g, list(bits(closed)), gens, x)
-        gens.append(x)
-        fresh &= ~closed
-    return closed
-
-
 def closure_mask(g: Group, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements in ``mask``.
 
-    The join of the cyclic subgroup of its lowest element other than the
-    identity with the rest of ``mask``.
+    The cyclic subgroup of its lowest element other than the identity, joined
+    (``join_element``) with each further element not yet in the result; each
+    element joined is added to the generators.
     """
+    closed, gens = 1, []
     rest = mask & ~1  # the identity generates nothing
-    x = (rest & -rest).bit_length() - 1
-    return join_mask(g, g.cyclic_masks[x], [x], rest) if rest else 1
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        closed = (
+            join_element(g, list(bits(closed)), gens, x) if gens else g.cyclic_masks[x]
+        )
+        gens.append(x)
+        rest &= ~closed
+    return closed
 
 
 def is_cyclic(g: Group) -> bool:

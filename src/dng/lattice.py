@@ -23,15 +23,16 @@ subgroup is maximal iff its join with every seed outside it is the whole
 group (an element outside H has a prime-power part outside H), and the
 maximal subgroups are the classes of the maximal representatives.
 
-Which maximal subgroups contain a set is answered by its incidence, the
-bitmask of those maximal subgroups; a set generates the group iff its
-incidence is 0.  It is the AND of its elements' incidences
-(``maximal_incidence``), as Python ints, which are exact keys at any width.
-The intersection poset and the moves between its members are found in one
-walk over incidences, from the empty set's: adding an element to a set ANDs
-in the element's incidence.  The subgroup lattice's inclusions
-(``lattice_dot``) are found the same way, with one bit per subgroup in place
-of one per maximal subgroup.
+Which members of a list of subgroups contain a set is answered by its
+incidence, the bitmask of those members: the AND of its elements'
+incidences, as Python ints, which are exact keys at any width.  One
+``Incidence`` index serves three lists: the maximal subgroups
+(``maximal_incidence``; a set generates the group iff its incidence is 0),
+all subgroups, whose incidences are their containers in the lattice
+(``lattice_dot``), and the intersection subgroups, whose incidences are
+their overgroups (``class_sizes``).  The intersection poset and the moves
+between its members are found in one walk over maximal incidences, from the
+empty set's: adding an element to a set ANDs in the element's incidence.
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -119,15 +120,13 @@ def _is_prime_power(k: int) -> bool:
 
 
 def _seeds(g: Group) -> list[tuple[int, int]]:
-    """Each cyclic subgroup of prime-power order with its first generator,
+    """Each cyclic subgroup of prime-power order with its least generator,
     sorted by mask."""
-    orders = g.element_orders
+    orders, cyclic = g.element_orders, g.cyclic_masks
     prime_powers = {k for k in set(orders) if k > 1 and _is_prime_power(k)}
-    generator: dict[int, int] = {}
-    for x, c in enumerate(g.cyclic_masks):
-        if orders[x] in prime_powers:
-            generator.setdefault(c, x)
-    return sorted(generator.items())
+    return sorted(
+        (cyclic[x], x) for x in g.cyclic_generators if orders[x] in prime_powers
+    )
 
 
 @per_group
@@ -146,7 +145,8 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
         if span == full:
             break
         if c & ~span:
-            span = join_element(g, list(bits(span)), span_gens, x)
+            # the span's first step is the seed itself
+            span = join_element(g, list(bits(span)), span_gens, x) if span_gens else c
             span_gens = [*span_gens, x]
             conj = g.table[:, g.inverses[x]][g.table[x]].tolist()
             if conj != identity:
@@ -266,22 +266,30 @@ def maximal_subgroups(g: Group) -> list[Subgroup]:
 
 
 @dataclass(frozen=True)
-class MaximalIncidence:
-    """Which maximal subgroups contain each element.
+class Incidence:
+    """Which of a list of masks contain each element.
 
-    Bit i of an incidence stands for ``maximals[i]``, in
-    ``maximal_subgroups`` order.  The incidence of a set is the AND of its
-    elements' incidences, all ones for the empty set; it is 0 exactly when
-    the set generates the group.
+    Bit i of an incidence stands for ``masks[i]``.  The incidence of a set is
+    the AND of its elements' incidences, all ones for the empty set: the
+    masks that contain the set.
     """
 
-    maximals: tuple[int, ...]  # masks, in maximal_subgroups order
-    elements: tuple[int, ...]  # per element id, the maximals containing it
+    masks: tuple[int, ...]
+    elements: tuple[int, ...]  # per element id, the masks containing it
+
+    @classmethod
+    def over(cls, masks, order: int) -> "Incidence":
+        """The index of ``masks``, subsets of a group of order ``order``."""
+        elements = [0] * order
+        for i, m in enumerate(masks):
+            for x in bits(m):
+                elements[x] |= 1 << i
+        return cls(masks=tuple(masks), elements=tuple(elements))
 
     @property
     def everything(self) -> int:
-        """Incidence of the empty set: every maximal subgroup."""
-        return (1 << len(self.maximals)) - 1
+        """Incidence of the empty set: every mask."""
+        return (1 << len(self.masks)) - 1
 
     def of(self, mask: int) -> int:
         """Incidence of the set ``mask``."""
@@ -291,22 +299,20 @@ class MaximalIncidence:
         return inc
 
     def meet(self, inc: int) -> int:
-        """Intersection of the maximal subgroups in a nonzero incidence."""
+        """Intersection of the masks in a nonzero incidence."""
         out = -1  # all ones
         for i in bits(inc):
-            out &= self.maximals[i]
+            out &= self.masks[i]
         return out
 
 
 @per_group
-def maximal_incidence(g: Group) -> MaximalIncidence:
-    """The per-element maximal-incidence index of g."""
-    maximals = tuple(m.mask for m in maximal_subgroups(g))
-    elements = [0] * g.order
-    for i, m in enumerate(maximals):
-        for x in bits(m):
-            elements[x] |= 1 << i
-    return MaximalIncidence(maximals=maximals, elements=tuple(elements))
+def maximal_incidence(g: Group) -> Incidence:
+    """The index of the maximal subgroups, in ``maximal_subgroups`` order.
+
+    An incidence is 0 exactly when its set generates g.
+    """
+    return Incidence.over([m.mask for m in maximal_subgroups(g)], g.order)
 
 
 def frattini(g: Group) -> Subgroup:
@@ -373,14 +379,13 @@ def class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:
     """
     members = intersection_subgroups(g).members
     masks = [s.mask for s in members if base & ~s.mask == 0]
-    sizes: list[int] = []
-    # members are sorted by order, so every proper subgroup J of I comes first
+    index = Incidence.over(masks, g.order)
+    sizes = [1 << (a.bit_count() - base.bit_count()) for a in masks]
+    # members are sorted by order, so every proper subgroup J of I comes
+    # first and has its final size when I's turn comes
     for i, a in enumerate(masks):
-        n = 1 << (a.bit_count() - base.bit_count())
-        for b, size in zip(masks[:i], sizes):
-            if b & ~a == 0:
-                n -= size
-        sizes.append(n)
+        for j in bits(index.of(a) & ~(1 << i)):
+            sizes[j] -= sizes[i]
     return tuple(sizes)
 
 
@@ -434,18 +439,9 @@ def lattice_dot(g: Group) -> str:
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
         lines.append(f'  n{i} [label="{s.order}"];')
-    # bit i of holding[x]: subs[i] contains x.  The AND of a subgroup's
-    # elements' bits is its containers, itself among them.
-    holding = [0] * g.order
-    for i, s in enumerate(subs):
-        for x in bits(s.mask):
-            holding[x] |= 1 << i
-    containers = []
-    for s in subs:
-        c = -1  # all ones
-        for x in bits(s.mask):
-            c &= holding[x]
-        containers.append(c)
+    # a subgroup's incidence is its containers, itself among them
+    index = Incidence.over([s.mask for s in subs], g.order)
+    containers = [index.of(s.mask) for s in subs]
     edges = []
     for j, c in enumerate(containers):
         # The least container left is a cover of subs[j]: subs is sorted by

@@ -196,7 +196,7 @@ def _sweep(
     inc = incidence.of(base)
     if not inc:
         raise GeneratingSetError("the set generates the whole group")
-    free = [incidence.maximals[i] & ~base for i in bits(inc)]
+    free = [incidence.masks[i] & ~base for i in bits(inc)]
     top = max(f.bit_count() for f in free)
     if 1 << top > budget:
         raise OracleBudgetError(

@@ -19,6 +19,7 @@ from dng.lattice import (
     _is_prime_power,
     all_subgroups,
     frattini,
+    intersection_subgroups,
     maximal_incidence,
     maximal_subgroups,
 )
@@ -172,13 +173,17 @@ def reference_maximal_masks(g: Group, subgroups: set[int]) -> list[int]:
 
 
 def reference_intersection_masks(maximals: list[int]) -> set[int]:
-    """The maximal subgroups closed under pairwise intersection."""
+    """The maximal subgroups closed under pairwise intersection.
+
+    Every intersection of k maximal subgroups is one of k - 1 of them
+    intersected with one more, so each new mask meets only the maximals.
+    """
     found = set(maximals)
     frontier = list(found)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in found.copy():
+            for b in maximals:
                 c = a & b
                 if c not in found:
                     found.add(c)
@@ -477,7 +482,7 @@ def reference_real_element_disjunction(g: Group, x: int) -> bool:
 
 def reference_structure_digraph(g: Group) -> StructureDigraph:
     incidence = maximal_incidence(g)
-    masks = reference_intersection_masks(list(incidence.maximals))
+    masks = reference_intersection_masks(list(incidence.masks))
     nodes = tuple(Subgroup(m) for m in by_order(masks))
     elem_inc = incidence.elements
     node_inc = [incidence.of(node.mask) for node in nodes]
@@ -489,6 +494,22 @@ def reference_structure_digraph(g: Group) -> StructureDigraph:
             if target:
                 edges.add((i, index[target]))
     return StructureDigraph(nodes=nodes, edges=tuple(sorted(edges)))
+
+
+def reference_class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:
+    """``lattice.class_sizes`` by testing every pair of poset members for
+    inclusion, as the library did before it read overgroups off an index."""
+    members = intersection_subgroups(g).members
+    masks = [s.mask for s in members if base & ~s.mask == 0]
+    sizes: list[int] = []
+    # members are sorted by order, so every proper subgroup J of I comes first
+    for i, a in enumerate(masks):
+        n = 1 << (a.bit_count() - base.bit_count())
+        for b, size in zip(masks[:i], sizes):
+            if b & ~a == 0:
+                n -= size
+        sizes.append(n)
+    return tuple(sizes)
 
 
 def reference_solve_types(d: StructureDigraph) -> StructureDigraph:

@@ -347,8 +347,8 @@ def test_failed_cross_check_exit_4(capsys, monkeypatch, argv):
 
 
 def test_analyze_wide_incidence(capsys):
-    # 128 maximal subgroups: the incidences take two words, and a lone bit 62
-    # or 63 of the second word must not key like the same bit of the first
+    # 128 maximal subgroups: the poset walk keys its members by incidences of
+    # 128 bits
     code, out, _ = run_cli(capsys, "analyze", "D127", "--no-oracle")
     assert code == 0
     assert "solver: *3 nodes=129 edges=128" in out

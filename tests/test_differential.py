@@ -14,6 +14,7 @@ from _helpers import (
     reference_by_level,
     reference_closure_mask,
     reference_coset_ids,
+    reference_class_sizes,
     reference_cyclic_mask,
     reference_dicyclic_table,
     reference_digraph_edges,
@@ -54,7 +55,6 @@ from dng.groups import (
     element_order,
     is_cyclic,
     is_normal,
-    join_mask,
     make_alternating,
     make_cyclic,
     make_dicyclic,
@@ -66,6 +66,7 @@ from dng.groupspec import build, parse_spec
 from dng.lattice import (
     _seeds,
     all_subgroups,
+    class_sizes,
     intersection_subgroups,
     largest_odd_normal_in_frattini,
     lattice_dot,
@@ -95,9 +96,8 @@ def test_lattice_pipeline_matches_reference(spec):
     assert structure_digraph(g).edges == reference_digraph_edges(g, nodes, maximals)
 
 
-#: Z2^6 x Z3 and D67 sit on both sides of the one-word incidence: 64 and 68
-#: maximal subgroups.  D127 and Dic127 (128 maximals, two words), D254 (3)
-#: and D359 (6) reach bits 62 and 63 of words past the first.
+#: Groups with many maximal subgroups, so incidences are ints of 64 bits
+#: (Z2^6 x Z3), 68 (D67), 128 (D127 and Dic127), 130 (D254) and 360 (D359).
 SOLVER_SPECS = catalog_specs(96) + [
     "S6",
     "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3",
@@ -154,8 +154,8 @@ def test_enumeration_matches_coset_fixpoint(spec):
     assert [m.mask for m in maximal_subgroups(g)] == maximals
 
 
-#: Z2^4 and D127 have 67 and 130 subgroups: bitsets just past one and two
-#: 64-bit words.
+#: Z2^4 and D127 have 67 and 130 subgroups, so containers are ints of as many
+#: bits.
 @pytest.mark.parametrize(
     "spec",
     catalog_specs(24)
@@ -201,10 +201,9 @@ def test_closure_of_pairs_matches_reference(spec):
 def test_join_of_subgroup_and_element_matches_reference(spec):
     g = build(parse_spec(spec))
     for h in reference_subgroup_masks(g):
-        gens = list(bits(h))[1:]
         for x in bits(g.full_mask & ~h):
             extra = 1 << x | 1 << (g.order - 1 - x)
-            assert join_mask(g, h, gens, extra) == reference_join_mask(g, h, extra)
+            assert closure_mask(g, h | extra) == reference_join_mask(g, h, extra)
 
 
 @pytest.mark.parametrize("n", [2, 7])
@@ -413,6 +412,16 @@ def test_cyclic_walks_match_power_loop_and_closure(catalog96, built):
         assert g.cyclic_masks == cyclic, name
         assert is_cyclic(g) == (g.order in orders), name
         assert _seeds(g) == reference_seeds(g), name
+
+
+def test_class_sizes_match_pairwise_inclusion(catalog96, built):
+    extras = ["S6", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3 x Z3 x Z3"]
+    for name, g in catalog96 + [(spec, built(spec)) for spec in extras]:
+        bases = [0, *(m.mask for m in maximal_subgroups(g))]
+        if g.order <= 24:
+            bases += [s.mask for s in intersection_subgroups(g).members]
+        for p in bases:
+            assert class_sizes(g, p) == reference_class_sizes(g, p), (name, p)
 
 
 def test_min_generators_matches_closure_search(catalog96, built):

@@ -77,13 +77,13 @@ def test_unclosed_incidence_raises():
     index = maximal_incidence(g)
     # a phantom copy of the last maximal that only some of its elements name:
     # a walked incidence with the phantom and one without it meet alike
-    k, last = len(index.maximals), index.maximals[-1]
+    k, last = len(index.masks), index.masks[-1]
     halves = list(bits(last))[1::2]
     elements = list(index.elements)
     for x in halves:
         elements[x] |= 1 << k
     g.derived[maximal_incidence.__wrapped__] = replace(
-        index, maximals=index.maximals + (last,), elements=tuple(elements)
+        index, masks=index.masks + (last,), elements=tuple(elements)
     )
     with pytest.raises(SolverConsistencyError, match="meet in"):
         structure_digraph(g)

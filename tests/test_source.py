@@ -1,6 +1,6 @@
 """Source checks: the package makes no BLAS call and reads no environment
-variable, none of the three routes imports another, and the lattice does not
-import numpy.
+variable, none of the three routes imports another, the lattice does not
+import numpy, and only the closure and the enumeration call the coset join.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
@@ -9,7 +9,8 @@ benchmark sets, so tuning constants stay constants.  The checklist
 classifier, the structure solver and the oracle are three independent routes
 to the nim-number, so none may lean on another's code.  The lattice answers
 containment with Python ints, so only the group tables and the oracle's
-sweep need numpy.
+sweep need numpy.  Every other question of what a set generates goes
+through ``closure_mask``.
 """
 
 import ast
@@ -144,3 +145,35 @@ def test_check_sees_numpy_imports():
 def test_lattice_imports_nothing_from_numpy():
     path = Path(dng.__file__).parent / "lattice.py"
     assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy") == []
+
+
+def _callers_of(tree: ast.AST, name: str) -> list[str]:
+    """The top-level definitions that call ``name``, by plain or dotted name;
+    a call outside any definition counts as ``<module>``."""
+    found = []
+    for top in tree.body:
+        caller = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            }:
+                found.append(caller)
+    return found
+
+
+def test_check_sees_join_calls():
+    src = (
+        "join_element(g, m, [], x)\ndef f():\n    groups.join_element(g, m, [], x)\n"
+        "    def inner():\n        return join_element(g, m, [], x)\n"
+        "def h():\n    return join_element\n"
+    )
+    assert _callers_of(ast.parse(src), "join_element") == ["<module>", "f", "f"]
+
+
+def test_only_the_closure_and_the_enumeration_join():
+    found = set()
+    for path in Path(dng.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.stem}.{c}" for c in _callers_of(tree, "join_element")}
+    assert found == {"groups.closure_mask", "lattice._enumerate"}
