@@ -43,7 +43,7 @@ from .lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from .oracle import OracleResult, brute_nim, brute_nim_position
+from .oracle import OracleResult, brute_nim, brute_nim_position, brute_nim_table
 from .solver import (
     SimplifiedDiagram,
     StructureDigraph,
@@ -75,6 +75,7 @@ __all__ = [
     "barnes_first_player_wins",
     "brute_nim",
     "brute_nim_position",
+    "brute_nim_table",
     "build",
     "classify",
     "cyclic_formula",

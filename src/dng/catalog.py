@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .groups import Group, ORDER_BUDGET
-from .groupspec import build, parse_spec, spec_order
+from .groupspec import parse_spec, spec_order
 
 #: Direct products and generalized dihedrals beyond the single-atom families.
 _EXTRA_SPECS = (
@@ -47,8 +46,3 @@ def catalog_specs(max_order: int) -> list[str]:
             specs.append(f"A{n}")
     specs += [s for s in _EXTRA_SPECS if spec_order(parse_spec(s)) <= max_order]
     return specs
-
-
-def builtin_catalog(max_order: int = 24, budget: int = ORDER_BUDGET) -> list[tuple[str, Group]]:
-    """Build the catalog groups; names are the DSL spec strings."""
-    return [(s, build(parse_spec(s), budget)) for s in catalog_specs(max_order)]

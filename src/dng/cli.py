@@ -179,6 +179,8 @@ def _cmd_verify(args) -> int:
             print(f"error: {args.catalog}: {reason}", file=sys.stderr)
             return EXIT_SPEC
         budget = args.max_order
+    elif args.max_order > ORDER_BUDGET:  # refused before the catalog is listed
+        raise BudgetError(f"--max-order {args.max_order} exceeds budget {ORDER_BUDGET}")
     else:
         entries = [(None, s) for s in catalog_specs(args.max_order)]
         budget = ORDER_BUDGET

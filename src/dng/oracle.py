@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .errors import (
     SolverConsistencyError,
 )
 from .groups import Group, bits
-from .lattice import class_sizes, maximal_incidence, maximal_subgroups
+from .lattice import class_sizes, maximal_incidence
 
 #: Default cap on the number of positions (non-generating subsets) a full
 #: sweep may value, decided before sweeping; larger games fall back to
@@ -87,6 +86,7 @@ CHUNK_CELLS = 2**13
 @dataclass
 class OracleResult:
     nim: int
+    # the positions valued, under the old memo's name: perfbench/harness.py reads it
     memo_size: int
     effort: int
 
@@ -108,12 +108,6 @@ def _mex_bit(seen: np.ndarray, size: int) -> np.ndarray:
             "past the 8-bit seen-sets"
         )
     return ~seen & (seen + _ONE)
-
-
-def _winner_parities(seen: np.ndarray, size: int) -> np.ndarray:
-    """Bit k set iff some line of play from the position ends at a size of
-    parity k; a position with no children is terminal."""
-    return np.where(seen == 0, _ONE << np.uint8(size % 2), seen)
 
 
 def _by_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +156,7 @@ def _width(lanes: list[int]) -> int:
 @dataclass
 class _Sweep:
     elems: list[list[int]]  # per maximal containing the base, M \ base
-    cells: list[np.ndarray]  # per maximal, the folded value of each subset
+    cells: list[np.ndarray]  # per maximal, the one-hot value of each subset
     positions: int  # subsets owned by their first maximal
     effort: int  # sum of the owned subsets' sizes above the base
 
@@ -172,14 +166,11 @@ class _Sweep:
         return int(self.cells[0][0])
 
 
-def _sweep(
-    g: Group, base: int, budget: int, fold: Callable[[np.ndarray, int], np.ndarray]
-) -> _Sweep:
-    """Fold every position at or above ``base``, largest first.
+def _sweep(g: Group, base: int, budget: int) -> _Sweep:
+    """Value every position at or above ``base``, largest first.
 
-    ``fold(seen, size)`` maps the OR of the children's cells, for the
-    positions of one size, to their cells.  Every check comes first, in this
-    order, and all but the last before any array is allocated:
+    Every check comes first, in this order, and all but the last before any
+    array is allocated:
 
     1. GeneratingSetError when ``base`` generates g;
     2. OracleBudgetError when some maximal subgroup M containing ``base`` has
@@ -270,8 +261,8 @@ def _sweep(
         for ci, cj, ii, jj in live:  # owners see the children in every maximal
             ci[ii] |= cj[jj]
         for n, words, part in chunks(level):
-            folded = fold(words[part].view(np.uint8), size + level)
-            words[part] = folded.view(words.dtype)
+            valued = _mex_bit(words[part].view(np.uint8), size + level)
+            words[part] = valued.view(words.dtype)
         for ci, cj, ii, jj in live:  # ascending i: each source is final
             cj[jj] = ci[ii]
     return _Sweep(elems=elems, cells=cells, positions=positions, effort=effort)
@@ -280,7 +271,7 @@ def _sweep(
 def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Nim-number of the starting position, with the number of positions and
     the number of moves between them (``effort``)."""
-    sweep = _sweep(g, 0, budget, _mex_bit)
+    sweep = _sweep(g, 0, budget)
     return OracleResult(
         nim=sweep.base.bit_length() - 1,
         memo_size=sweep.positions,
@@ -290,7 +281,7 @@ def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
 
 def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Nim-numbers of every position, keyed by bitmask."""
-    sweep = _sweep(g, 0, budget, _mex_bit)
+    sweep = _sweep(g, 0, budget)
     table: dict[int, int] = {}
     for elems, cells in zip(sweep.elems, sweep.cells):
         masks = _unions([1 << x for x in elems])  # the position at each index
@@ -308,17 +299,4 @@ def brute_nim_position(g: Group, p: int, budget: int = DEFAULT_BUDGET) -> int:
     exist, and SolverConsistencyError when the maximal subgroups own a
     different number than the class sizes predict.
     """
-    return _sweep(g, p, budget, _mex_bit).base.bit_length() - 1
-
-
-def strategy_free_outcome_check(g: Group, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every maximal line of play from the empty set has one winner.
-
-    Only defined when all maximal subgroups share one parity.  A line ending
-    at a terminal position of size k awards the win to the first player when
-    k is odd and to the second player when k is even.
-    """
-    parities = {m.order % 2 for m in maximal_subgroups(g)}
-    if len(parities) != 1:
-        raise ValueError("maximal subgroups have mixed parities")
-    return _sweep(g, 0, budget, _winner_parities).base.bit_count() == 1
+    return _sweep(g, p, budget).base.bit_length() - 1

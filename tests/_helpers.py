@@ -348,32 +348,6 @@ class ReferenceSearch:
         return result
 
 
-def reference_outcome_check(maximals: list[int]) -> bool:
-    """True iff every maximal line of play from the empty set has one winner."""
-    memo: dict[int, frozenset[int]] = {}
-
-    def winners(p: int) -> frozenset[int]:
-        hit = memo.get(p)
-        if hit is not None:
-            return hit
-        cover = 0
-        for m in maximals:
-            if p & ~m == 0:
-                cover |= m
-        moves = cover & ~p
-        if moves == 0:
-            result = frozenset({p.bit_count() % 2})
-        else:
-            acc: set[int] = set()
-            for x in bits(moves):
-                acc |= winners(p | 1 << x)
-            result = frozenset(acc)
-        memo[p] = result
-        return result
-
-    return len(winners(0)) == 1
-
-
 def reference_smallest_intersection(maximals: list[int], s: int) -> int | None:
     """Intersection of the maximals containing ``s``; None when there are none."""
     inter = None

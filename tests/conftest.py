@@ -1,18 +1,8 @@
 import pytest
 
-from dng.catalog import builtin_catalog, catalog_specs
+from dng.catalog import catalog_specs
 from dng.groupspec import build, parse_spec
 from dng.oracle import brute_nim
-
-
-@pytest.fixture(scope="session")
-def catalog24():
-    return builtin_catalog(24)
-
-
-@pytest.fixture(scope="session")
-def catalog36():
-    return builtin_catalog(36)
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +17,16 @@ def built():
         return groups[spec]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def catalog24(built):
+    return [(spec, built(spec)) for spec in catalog_specs(24)]
+
+
+@pytest.fixture(scope="session")
+def catalog36(built):
+    return [(spec, built(spec)) for spec in catalog_specs(36)]
 
 
 @pytest.fixture(scope="session")

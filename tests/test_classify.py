@@ -25,7 +25,7 @@ from dng.groups import (
     min_generators,
 )
 from dng import lattice
-from dng.catalog import builtin_catalog
+from dng.catalog import catalog_specs
 from dng.groupspec import build, parse_spec
 from dng.lattice import all_subgroups, even_maximals_cover
 from dng.solver import game_nim
@@ -79,10 +79,12 @@ def _refuse(*args, **kwargs):
 
 
 def test_barnes_reads_no_maximal_subgroup(monkeypatch):
-    expected = [barnes_first_player_wins(g) for _, g in builtin_catalog(24)]
+    # fresh groups each time, so no cached lattice can hide a read
+    specs = catalog_specs(24)
+    expected = [barnes_first_player_wins(build(parse_spec(s))) for s in specs]
     monkeypatch.setattr(lattice, "_enumerate", _refuse)
     monkeypatch.setattr(lattice, "maximal_incidence", _refuse)
-    got = [barnes_first_player_wins(g) for _, g in builtin_catalog(24)]
+    got = [barnes_first_player_wins(build(parse_spec(s))) for s in specs]
     assert got == expected
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dng import lattice, solver
+from dng import cli, lattice, solver
 from dng.cli import CSV_COLUMNS, main
 from dng.errors import SolverConsistencyError
 
@@ -253,6 +253,19 @@ def test_verify_catalog_checks_every_order_first(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--catalog", str(f), "--max-order", "100")
     assert code == 3
     assert err.startswith(f"error: {f}:2: S5 has order 120")
+
+
+def _refuse_listing(max_order):
+    raise AssertionError(f"listed the catalog up to order {max_order}")
+
+
+def test_verify_max_order_over_budget_exit_3(capsys, monkeypatch):
+    # refused before the catalog is listed, whose length grows with the order
+    monkeypatch.setattr(cli, "catalog_specs", _refuse_listing)
+    code, out, err = run_cli(capsys, "verify", "--max-order", "721")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --max-order 721 exceeds budget 720\n"
 
 
 def test_verify_catalog_indented_comment(tmp_path, capsys):

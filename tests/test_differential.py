@@ -29,7 +29,6 @@ from _helpers import (
     reference_largest_odd_normal_in_frattini,
     reference_maximal_masks,
     reference_min_generators,
-    reference_outcome_check,
     reference_perm_table,
     reference_quotient_table,
     reference_real_element_disjunction,
@@ -73,12 +72,7 @@ from dng.lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from dng.oracle import (
-    brute_nim,
-    brute_nim_position,
-    brute_nim_table,
-    strategy_free_outcome_check,
-)
+from dng.oracle import brute_nim, brute_nim_position, brute_nim_table
 from dng.solver import solve_types, structure_digraph
 
 SPECS = catalog_specs(36) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"]
@@ -283,14 +277,14 @@ def test_position_matches_reference_search(built, searched, spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_outcome_check_matches_reference(spec):
-    g = build(parse_spec(spec))
-    maximals = _maximal_masks(g)
-    if len({m.bit_count() % 2 for m in maximals}) == 1:
-        assert strategy_free_outcome_check(g) == reference_outcome_check(maximals)
-    else:
-        with pytest.raises(ValueError, match="mixed parities"):
-            strategy_free_outcome_check(g)
+def test_outcome_check_matches_reference(searched, spec):
+    # a position is terminal exactly when it is a maximal subgroup, so when
+    # the maximals share one parity every line of play ends at that parity,
+    # and the first player wins iff it is odd; mixed parities decide nothing
+    ref = searched(spec)
+    parities = {m.bit_count() % 2 for m in ref.maximals}
+    if len(parities) == 1:
+        assert (ref.nim(0) != 0) == (parities == {1})
 
 
 def test_sweep_stacks_cover_every_lane_width(built):
@@ -298,7 +292,7 @@ def test_sweep_stacks_cover_every_lane_width(built):
     # stride of its cells is the stack's width
     widths, crowded = set(), set()
     for spec in ORACLE_SPECS:
-        sweep = oracle._sweep(built(spec), 0, oracle.DEFAULT_BUDGET, oracle._mex_bit)
+        sweep = oracle._sweep(built(spec), 0, oracle.DEFAULT_BUDGET)
         widths |= {c.strides[0] for c in sweep.cells}
         sizes = [len(e) for e in sweep.elems]
         if any(sizes.count(n) > 8 for n in sizes):
@@ -311,18 +305,13 @@ def test_sweep_stacks_cover_every_lane_width(built):
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_sweep_chunk_boundaries_match_reference(monkeypatch, built, searched, spec):
     g, ref = built(spec), searched(spec)
-    maximals = ref.maximals
-    one_parity = len({m.bit_count() % 2 for m in maximals}) == 1
-    outcome = reference_outcome_check(maximals) if one_parity else None
     # chunks of one or three subsets split every level of every stack; the
     # sweep from the empty set is brute_nim_table's
     for chunk in [1, 3]:
         monkeypatch.setattr(oracle, "CHUNK_CELLS", chunk)
         assert brute_nim_table(g) == ref.memo, chunk
-        for p in maximals:
+        for p in ref.maximals:
             assert brute_nim_position(g, p) == ref.nim(p), chunk
-        if one_parity:
-            assert strategy_free_outcome_check(g) == outcome, chunk
 
 
 @pytest.mark.parametrize("spec", catalog_specs(12))

@@ -17,12 +17,7 @@ from dng.lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from dng.oracle import (
-    brute_nim,
-    brute_nim_position,
-    brute_nim_table,
-    strategy_free_outcome_check,
-)
+from dng.oracle import brute_nim, brute_nim_position, brute_nim_table
 from dng.solver import mex
 
 
@@ -95,10 +90,6 @@ def test_budget_is_exact_cap():
     assert len(brute_nim_table(s4, budget=5016)) == 5016
     with pytest.raises(OracleBudgetError):
         brute_nim_table(s4, budget=5015)
-    z4 = make_cyclic(4)  # the subsets of its one maximal subgroup of order 2
-    assert strategy_free_outcome_check(z4, budget=4)
-    with pytest.raises(OracleBudgetError):
-        strategy_free_outcome_check(z4, budget=3)
 
 
 def _refuse(*args):
@@ -314,13 +305,6 @@ def test_class_option_compatibility():
                     opts.add(smallest_intersection_containing(g, p | 1 << x).mask)
             reachable.setdefault(cls, set()).add(frozenset(opts - {cls}))
         assert all(len(v) == 1 for v in reachable.values())
-
-
-def test_strategy_free_outcomes():
-    assert strategy_free_outcome_check(make_cyclic(4))
-    assert strategy_free_outcome_check(make_cyclic(9))
-    with pytest.raises(ValueError):
-        strategy_free_outcome_check(make_symmetric(3))
 
 
 def test_parity_alternation():

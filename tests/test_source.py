@@ -1,6 +1,7 @@
 """Source checks: the package makes no BLAS call and reads no environment
 variable, none of the three routes imports another, the lattice does not
-import numpy, and only the closure and the enumeration call the coset join.
+import numpy, only the closure and the enumeration call the coset join, and
+every public definition is read inside the package or exported.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
@@ -10,7 +11,8 @@ classifier, the structure solver and the oracle are three independent routes
 to the nim-number, so none may lean on another's code.  The lattice answers
 containment with Python ints, so only the group tables and the oracle's
 sweep need numpy.  Every other question of what a set generates goes
-through ``closure_mask``.
+through ``closure_mask``.  A helper that only tests call belongs in the
+tests.
 """
 
 import ast
@@ -177,3 +179,42 @@ def test_only_the_closure_and_the_enumeration_join():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= {f"{path.stem}.{c}" for c in _callers_of(tree, "join_element")}
     assert found == {"groups.closure_mask", "lattice._enumerate"}
+
+
+def _unread_definitions(trees: list[ast.Module]) -> list[str]:
+    """The public top-level functions and classes of these modules whose name
+    no code of theirs loads, plainly or as an attribute, outside its own
+    definition."""
+    defined, loads = [], []  # loads: (the top-level statement, a name it reads)
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                if not top.name.startswith("_"):
+                    defined.append(top)
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    loads.append((top, getattr(node, "id", getattr(node, "attr", None))))
+    return [d.name for d in defined if all(top is d or n != d.name for top, n in loads)]
+
+
+def test_check_sees_unread_definitions():
+    src = (
+        "def used():\n    return 1\n"
+        "def recursive():\n    return recursive()\n"
+        "class Attribute:\n    pass\n"
+        "def _private():\n    return 0\n"
+        "def reader(m):\n    return used(), m.Attribute\n"
+        "x: Annotated = 1\nclass Annotated:\n    pass\n"
+        "from .other import imported\n"
+    )
+    assert _unread_definitions([ast.parse(src)]) == ["recursive", "reader"]
+
+
+def test_every_public_definition_is_read_or_exported():
+    """A public function or class that nothing in the package reads must be
+    API, listed in ``dng.__all__``."""
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(dng.__file__).parent.glob("*.py"))
+    ]
+    assert sorted(set(_unread_definitions(trees)) - set(dng.__all__)) == []
