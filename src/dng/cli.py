@@ -59,7 +59,7 @@ def analyze_group(
         solver = {
             "nim": d.types[d.source].nim_even,
             "nodes": len(d.nodes),
-            "edges": len(d.edges),
+            "edges": sum(map(len, d.successors)),
             "types": solver_mod.type_multiset(d),
         }
     if not no_oracle:

@@ -33,6 +33,16 @@ all subgroups, whose incidences are their containers in the lattice
 their overgroups (``class_sizes``).  The intersection poset and the moves
 between its members are found in one walk over maximal incidences, from the
 empty set's: adding an element to a set ANDs in the element's incidence.
+Each member's subgroup is then read off its moves, in ascending incidence
+popcount, with no AND over the maximal subgroups it names.  A one-bit
+incidence names its maximal subgroup.  A walked incidence I of two or more
+bits is the union of its moves' incidences, so its subgroup is the AND of
+theirs: for each maximal Mi in I, the intersection of I's maximals is a
+proper subgroup of Mi (distinct maximal subgroups do not contain each
+other), and for y in Mi outside it the move to the incidence of I with y
+added keeps bit i.  The members and the moves go to the solver as sorted
+successor lists.  The whole subgroup lattice is sorted only when read
+(``all_subgroups``, for ``lattice_dot``).
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -77,14 +87,14 @@ class Subgroup:
 class IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups.
 
-    A move (i, j) adds one element to a set whose smallest enclosing
-    intersection is ``members[i]``, and ``members[j]`` is the smallest one
-    enclosing the enlarged set, a proper overgroup.  Moves that reach a
-    generating set are left out.
+    ``successors[i]`` lists, ascending, each j such that adding one element
+    to a set whose smallest enclosing intersection is ``members[i]`` makes
+    ``members[j]`` the smallest one enclosing the enlarged set, a proper
+    overgroup.  Moves that reach a generating set are left out.
     """
 
     members: tuple[Subgroup, ...]  # sorted by (order, mask); the first is Frattini
-    moves: tuple[tuple[int, int], ...]  # sorted
+    successors: tuple[tuple[int, ...], ...]
 
 
 def per_group(fn):
@@ -130,8 +140,9 @@ def _seeds(g: Group) -> list[tuple[int, int]]:
 
 
 @per_group
-def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
-    """All subgroups and the maximal ones, one conjugacy class at a time."""
+def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
+    """The masks of all subgroups, unsorted, and the maximal subgroups,
+    sorted by (order, mask), one conjugacy class at a time."""
     n, full = g.order, g.full_mask
     # joining a seed's generator joins the seed
     seeds = _seeds(g)
@@ -250,12 +261,13 @@ def _enumerate(g: Group) -> tuple[tuple[Subgroup, ...], tuple[Subgroup, ...]]:
                 coset[col[m]] = 1
         if maximal:
             maximals.extend(orbit)
-    return _sorted_subgroups(found), _sorted_subgroups(maximals)
+    return found, _sorted_subgroups(maximals)
 
 
+@per_group
 def all_subgroups(g: Group) -> tuple[Subgroup, ...]:
     """Every subgroup of g, sorted by (order, mask)."""
-    return _enumerate(g)[0]
+    return _sorted_subgroups(_enumerate(g)[0])
 
 
 def maximal_subgroups(g: Group) -> list[Subgroup]:
@@ -323,20 +335,17 @@ def frattini(g: Group) -> Subgroup:
     return Subgroup(inter)
 
 
-@per_group
-def intersection_subgroups(g: Group) -> IntersectionPoset:
-    """All intersections of nonempty sets of maximal subgroups, and the moves.
+def _walk(index: Incidence) -> dict[int, tuple[int, ...]]:
+    """Each intersection's incidence, with the incidences its moves reach.
 
-    An intersection is named by its incidence, and the walk starts from the
-    empty set's, which names the Frattini subgroup.  A member's moves are the
-    distinct ANDs of its incidence with each element's, less 0 (the enlarged
-    set generates g) and its own (the element was in it already).  Each
-    member is reached by adding its elements one at a time, so the walk finds
-    them all.  When T is reached from I, T & y = T & (I & y) for every
-    element y, so T is ANDed only with I's moves.  Two incidences that meet
-    in one subgroup would mean one is not closed: SolverConsistencyError.
+    The walk starts from the empty set's incidence, which names the Frattini
+    subgroup.  A member's moves are the distinct ANDs of its incidence with
+    each element's, less 0 (the enlarged set generates g) and its own (the
+    element was in it already).  Each member is reached by adding its
+    elements one at a time, so the walk finds them all.  When T is reached
+    from I, T & y = T & (I & y) for every element y, so T is ANDed only with
+    I's moves.
     """
-    index = maximal_incidence(g)
     top = index.everything
     moves: dict[int, tuple[int, ...]] = {}
     seen = {top}
@@ -351,19 +360,53 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
             if t not in seen:
                 seen.add(t)
                 walk.append((t, out))
-    masks = {inc: index.meet(inc) for inc in moves}
+    return moves
+
+
+def _masks(index: Incidence, moves: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    """The subgroup each walked incidence names, read off its moves.
+
+    A one-bit incidence names its maximal subgroup, and a wider one is the
+    union of its moves' incidences (see the module docstring), so its
+    subgroup is the AND of theirs.  Moves drop bits, so ascending popcount
+    reaches every move's subgroup first.
+    """
+    masks: dict[int, int] = {}
+    for inc in sorted(moves, key=int.bit_count):
+        if inc & (inc - 1):
+            m = -1  # all ones
+            for t in moves[inc]:
+                m &= masks[t]
+            masks[inc] = m
+        else:
+            masks[inc] = index.masks[inc.bit_length() - 1]
+    return masks
+
+
+@per_group
+def intersection_subgroups(g: Group) -> IntersectionPoset:
+    """All intersections of nonempty sets of maximal subgroups, and each
+    one's successors.
+
+    An intersection is named by its incidence (``_walk``) and its subgroup is
+    read off its moves (``_masks``).  Two incidences that meet in one
+    subgroup would mean one is not closed: SolverConsistencyError.
+    """
+    index = maximal_incidence(g)
+    moves = _walk(index)
+    masks = _masks(index, moves)
     if len(set(masks.values())) < len(masks):
         raise SolverConsistencyError(
             f"{len(masks)} walked incidences of {g.name} meet in "
             f"{len(set(masks.values()))} intersection subgroups"
         )
-    order = sorted(moves, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
+    order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
     at = {inc: i for i, inc in enumerate(order)}
-    edges: list[tuple[int, int]] = []
-    for i, inc in enumerate(order):
-        edges += [(i, j) for j in sorted(map(at.__getitem__, moves[inc]))]
     return IntersectionPoset(
-        members=tuple(Subgroup(masks[inc]) for inc in order), moves=tuple(edges)
+        members=tuple(Subgroup(masks[inc]) for inc in order),
+        successors=tuple(
+            tuple(sorted(map(at.__getitem__, moves[inc]))) for inc in order
+        ),
     )
 
 

@@ -15,11 +15,12 @@ positions).  Types are solved bottom-up:
 ``comp(t, q)`` is the nim-number of parity-``q`` positions of a class of
 type ``t``.  A consistency identity cross-checks every node.
 
-The nodes and edges are the intersection poset and its moves
-(``lattice.intersection_subgroups``), found in one walk over incidences.
-Types are solved through a memo on option sets: each type gets a one-hot
-id, a node's options are the OR of its successors' ids, and each distinct
-(parity, options) pair is solved once.
+The nodes are the intersection poset and each node's successors its moves
+(``lattice.intersection_subgroups``), found in one walk over incidences and
+kept as one ascending successor tuple per node.  Types are solved through a
+memo on option sets: each type gets a one-hot id, a node's options are the
+OR of its successors' ids, and each distinct (parity, options) pair is
+solved once.
 """
 
 from __future__ import annotations
@@ -60,18 +61,24 @@ class StructureDigraph:
     """Intersection subgroups with class-option edges; source is the Frattini node.
 
     Nodes are sorted ascending by (order, mask), so node 0 is the Frattini
-    subgroup.  Every edge (i, j) strictly increases the subgroup, hence the
-    digraph is acyclic and the source has no incoming edges.
+    subgroup.  ``successors[i]`` lists node i's option nodes, ascending; each
+    edge (i, j) strictly increases the subgroup, hence the digraph is acyclic
+    and the source has no incoming edges.
     """
 
     nodes: tuple[Subgroup, ...]
-    edges: tuple[tuple[int, int], ...]
+    successors: tuple[tuple[int, ...], ...]
     types: tuple[TypeTriple, ...] | None = None
     source: int = 0
 
     @property
     def solved(self) -> bool:
         return self.types is not None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (i, j), node by node: sorted, as the lists ascend."""
+        return tuple((i, j) for i, out in enumerate(self.successors) for j in out)
 
 
 @dataclass(frozen=True)
@@ -100,36 +107,35 @@ def mex(values) -> int:
 def structure_digraph(g: Group) -> StructureDigraph:
     """Build the (unsolved) structure digraph of the avoidance game on g.
 
-    Its nodes are the intersection subgroups and its edges the moves
-    between them (``lattice.intersection_subgroups``).
+    Its nodes are the intersection subgroups and its successor lists the
+    moves between them (``lattice.intersection_subgroups``).
     """
     if g.order < 2:
         raise TrivialGroupError("no avoidance game for the trivial group")
     poset = intersection_subgroups(g)
-    return StructureDigraph(nodes=poset.members, edges=poset.moves)
+    return StructureDigraph(nodes=poset.members, successors=poset.successors)
 
 
 def solve_types(d: StructureDigraph) -> StructureDigraph:
     """Solve all type triples in reverse topological order.
 
-    Edges point to later nodes (nodes are sorted by order and every edge
+    Successors are later nodes (nodes are sorted by order and every edge
     strictly enlarges the subgroup), so descending index is a reverse
-    topological order.  Each solved node gets the one-hot id of its type,
-    the OR of its successors' ids is its option set, and each distinct
-    (parity, option set) is solved once.
+    topological order; a successor at or before its node is a ValueError.
+    Each solved node gets the one-hot id of its type, the OR of its
+    successors' ids is its option set, and each distinct (parity, option
+    set) is solved once.
     """
     n = len(d.nodes)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, j in d.edges:
-        if j <= i:
-            raise ValueError(f"edge ({i}, {j}) does not point to a later node")
-        succ[i].append(j)
     kinds: list[TypeTriple] = []  # the type whose id is 1 << b is kinds[b]
     solved: dict[tuple[int, int], int] = {}  # (parity, options) -> id
     ids = [0] * n
     for i in range(n - 1, -1, -1):
+        out = d.successors[i]
+        if out and min(out) <= i:
+            raise ValueError(f"edge ({i}, {min(out)}) does not point to a later node")
         options = 0
-        for j in succ[i]:
+        for j in out:
             options |= ids[j]
         p = d.nodes[i].order % 2
         if (p, options) not in solved:

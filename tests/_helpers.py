@@ -454,6 +454,14 @@ def reference_real_element_disjunction(g: Group, x: int) -> bool:
 # over incidences and its option-set memo.
 
 
+def successor_lists(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Each of n nodes' successors, in the order of ``edges``."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        succ[i].append(j)
+    return tuple(map(tuple, succ))
+
+
 def reference_structure_digraph(g: Group) -> StructureDigraph:
     incidence = maximal_incidence(g)
     masks = reference_intersection_masks(list(incidence.masks))
@@ -467,7 +475,9 @@ def reference_structure_digraph(g: Group) -> StructureDigraph:
             target = inc & elem_inc[x]
             if target:
                 edges.add((i, index[target]))
-    return StructureDigraph(nodes=nodes, edges=tuple(sorted(edges)))
+    return StructureDigraph(
+        nodes=nodes, successors=successor_lists(len(nodes), sorted(edges))
+    )
 
 
 def reference_class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:

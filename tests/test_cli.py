@@ -185,6 +185,33 @@ def test_diagram_lattice(capsys):
     assert out.count("[label=") == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "--json", "--no-oracle"],
+        ["verify", "--max-order", "24", "--no-oracle"],
+    ],
+    ids=["analyze", "verify"],
+)
+def test_only_diagram_lattice_sorts_the_whole_lattice(monkeypatch, capsys, argv):
+    """analyze and verify sort the maximal subgroups of each group and no
+    longer list: Z2^6 has 2825 subgroups and 63 maximal ones."""
+    enumerated, sorts = [], []  # sorts: (the group enumerated, list length)
+    enumerate_, sort = lattice._enumerate, lattice._sorted_subgroups
+    monkeypatch.setattr(
+        lattice, "_enumerate", lambda g: enumerated.append(g) or enumerate_(g)
+    )
+    monkeypatch.setattr(
+        lattice,
+        "_sorted_subgroups",
+        lambda masks: sorts.append((enumerated[-1], len(masks))) or sort(masks),
+    )
+    assert run_cli(capsys, *argv)[0] == 0
+    assert sorts
+    for g, length in sorts:
+        assert length <= len(lattice.maximal_subgroups(g)), g.name
+
+
 def test_diagram_simplified_quotient_invariance(capsys):
     _, a, _ = run_cli(capsys, "diagram", "Z18 x Z2", "--simplified")
     _, b, _ = run_cli(capsys, "diagram", "Z6 x Z2", "--simplified")

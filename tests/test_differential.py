@@ -63,12 +63,15 @@ from dng.groups import (
 )
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
+    _masks,
     _seeds,
+    _walk,
     all_subgroups,
     class_sizes,
     intersection_subgroups,
     largest_odd_normal_in_frattini,
     lattice_dot,
+    maximal_incidence,
     maximal_subgroups,
     smallest_intersection_containing,
 )
@@ -113,6 +116,32 @@ def test_structure_solver_matches_reference(spec, built):
     assert d.edges == ref.edges
     assert all(type(i) is int and type(j) is int for i, j in d.edges)
     assert solve_types(d).types == reference_solve_types(ref).types
+
+
+#: The six groups of the ``ladder`` benchmark, then three more large posets.
+MOVE_MASK_SPECS = list(
+    dict.fromkeys(
+        catalog_specs(96)
+        + [
+            "A5",
+            "S5",
+            "A4 x A4",
+            "Z2 x Z2 x Z2 x Z2 x Z2",
+            "Dih(Z2 x Z2 x Z2 x Z2 x Z3)",
+            "Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+            "S6",
+            "S4 x S4",
+            "Z3 x Z3 x Z3 x Z3 x Z3",
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("spec", MOVE_MASK_SPECS)
+def test_masks_read_off_moves_are_the_meets(spec, built):
+    index = maximal_incidence(built(spec))
+    moves = _walk(index)
+    assert _masks(index, moves) == {inc: index.meet(inc) for inc in moves}
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from _helpers import digraph_to_json
+from _helpers import digraph_to_json, successor_lists
 from dng.errors import SolverConsistencyError, TrivialGroupError
 from dng.groups import bits, make_alternating, make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
@@ -105,7 +105,7 @@ def test_digraph_memory_stays_small():
 def _manual(nodes_orders, edges):
     return StructureDigraph(
         nodes=tuple(Subgroup((1 << o) - 1) for o in nodes_orders),
-        edges=tuple(edges),
+        successors=successor_lists(len(nodes_orders), edges),
     )
 
 
@@ -122,6 +122,12 @@ def test_terminal_even_node_type():
 def test_edges_must_point_to_later_nodes():
     with pytest.raises(ValueError, match="later node"):
         solve_types(_manual([1, 3], [(1, 0)]))
+
+
+def test_every_successor_must_be_a_later_node():
+    # node 1's successors (2, 0) are unsorted: the first points forward
+    with pytest.raises(ValueError, match="later node"):
+        solve_types(_manual([1, 3, 4], [(1, 2), (1, 0)]))
 
 
 def test_mixed_options_give_star3():
