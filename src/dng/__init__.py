@@ -7,7 +7,6 @@ game-tree oracle (`brute_nim`).
 
 from .classify import (
     Classification,
-    FamilyPrediction,
     Rule,
     barnes_first_player_wins,
     classify,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
-    "FamilyPrediction",
     "Group",
     "GroupSpec",
     "IntersectionPoset",

@@ -44,12 +44,6 @@ class Classification:
         return {"nim": self.nim, "rule": self.rule.value, "outcome": self.outcome}
 
 
-@dataclass(frozen=True)
-class FamilyPrediction:
-    family: str
-    nim: int
-
-
 def _outcome(nim: int) -> str:
     return "P-position" if nim == 0 else "N-position"
 
@@ -127,35 +121,32 @@ def is_nilpotent(g: Group) -> bool:
     return g.order == 1 or all(is_normal(g, m) for m in maximal_subgroups(g))
 
 
-def nilpotent_formula(g: Group) -> FamilyPrediction:
+def nilpotent_formula(g: Group) -> int:
     """Closed-form nim-number for nontrivial nilpotent groups."""
     if g.order < 2:
         raise TrivialGroupError("formula needs a nontrivial group")
     if not is_nilpotent(g):
         raise ValueError(f"{g.name} is not nilpotent")
     if g.order == 2 or g.order % 2 == 1:
-        nim = 1
-    elif g.order % 4 == 2 and is_cyclic(g):
+        return 1
+    if g.order % 4 == 2 and is_cyclic(g):
         # Z_2 x Z_{2k+1} is exactly the cyclic group of order 2 mod 4 (> 2)
-        nim = 3
-    else:
-        nim = 0
-    return FamilyPrediction(family="Nilpotent", nim=nim)
+        return 3
+    return 0
 
 
-def gendih_formula(a: Group) -> FamilyPrediction:
+def gendih_formula(a: Group) -> int:
     """Nim-number of the game on Dih(a), predicted from the abelian base."""
     if not is_abelian(a):
         raise ValueError(f"{a.name} is not abelian")
-    nim = 3 if a.order % 2 == 1 and a.order > 1 and is_cyclic(a) else 0
     if a.order == 1:
-        nim = 1  # Dih(Z1) has order 2
-    return FamilyPrediction(family="GeneralizedDihedral", nim=nim)
+        return 1  # Dih(Z1) has order 2
+    return 3 if a.order % 2 == 1 and is_cyclic(a) else 0
 
 
-def quaternion_formula() -> FamilyPrediction:
+def quaternion_formula() -> int:
     """Every dicyclic (generalized quaternion) group plays to *0."""
-    return FamilyPrediction(family="GeneralizedQuaternion", nim=0)
+    return 0
 
 
 def real_element_disjunction(g: Group, x: int) -> bool:

@@ -6,7 +6,10 @@ Grammar (whitespace-insensitive, case-sensitive)::
     atom := "Z"int | "D"int | "Dic"int | "S"int | "A"int
           | "Dih(" spec ")" | "(" spec ")"
 
-``D n`` denotes the dihedral group of order 2n, i.e. Dih(Z_n).
+``D n`` denotes the dihedral group of order 2n, i.e. Dih(Z_n).  The atoms
+with an integer come from the ``_FAMILIES`` table, which gives each family's
+least parameter, order and constructor.  The parser tries ``Dih(`` first and
+then the prefixes in table order, ``Dic`` before ``D``.
 """
 
 from __future__ import annotations
@@ -25,27 +28,10 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class Cyclic(GroupSpec):
-    n: int
+class Atom(GroupSpec):
+    """One group of a family in ``_FAMILIES``, named by its grammar prefix."""
 
-
-@dataclass(frozen=True)
-class Dihedral(GroupSpec):
-    n: int
-
-
-@dataclass(frozen=True)
-class Dicyclic(GroupSpec):
-    n: int
-
-
-@dataclass(frozen=True)
-class Symmetric(GroupSpec):
-    n: int
-
-
-@dataclass(frozen=True)
-class Alternating(GroupSpec):
+    family: str
     n: int
 
 
@@ -66,7 +52,21 @@ class DirectProduct(GroupSpec):
 #: far below the interpreter's limit.
 MAX_ATOMS = 64
 
-_ATOM_EXPECTED = frozenset({'"Z"', '"D"', '"Dic"', '"S"', '"A"', '"Dih("', '"("'})
+#: Atom families by grammar prefix, in the order the parser tries them:
+#: least parameter, order factors and constructor.  D1 is Z2, Dic2 is Q8.
+_FAMILIES = {
+    "Dic": (2, lambda n: [4, n], groups.make_dicyclic),
+    "D": (
+        1,
+        lambda n: [2, n],
+        lambda n, budget: groups.make_generalized_dihedral(groups.make_cyclic(n, budget), budget),
+    ),
+    "Z": (1, lambda n: [n], groups.make_cyclic),
+    "S": (1, lambda n: range(2, n + 1), groups.make_symmetric),
+    "A": (1, lambda n: range(3, n + 1), groups.make_alternating),  # n!/2, and 1 below A3
+}
+
+_ATOM_EXPECTED = frozenset([f'"{prefix}"' for prefix in _FAMILIES] + ['"Dih("', '"("'])
 
 
 class _Parser:
@@ -110,28 +110,16 @@ class _Parser:
                 f"the atom at offset {self.pos} is past the limit of {MAX_ATOMS} "
                 "atoms, each Dih( and ( counted as one"
             )
-        if self._lit("Dih("):
+        dih = self._lit("Dih(")
+        if dih or self._lit("("):
             inner = self.spec()
             self._ws()
             if not self._lit(")"):
                 self._fail(frozenset({'")"', '"x"'}))
-            return GeneralizedDihedralOf(inner)
-        if self._lit("Dic"):
-            return Dicyclic(self._int())
-        if self._lit("D"):
-            return Dihedral(self._int())
-        if self._lit("Z"):
-            return Cyclic(self._int())
-        if self._lit("S"):
-            return Symmetric(self._int())
-        if self._lit("A"):
-            return Alternating(self._int())
-        if self._lit("("):
-            inner = self.spec()
-            self._ws()
-            if not self._lit(")"):
-                self._fail(frozenset({'")"', '"x"'}))
-            return inner
+            return GeneralizedDihedralOf(inner) if dih else inner
+        for prefix in _FAMILIES:
+            if self._lit(prefix):
+                return Atom(prefix, self._int())
         self._fail(_ATOM_EXPECTED)
 
     def spec(self) -> GroupSpec:
@@ -156,16 +144,8 @@ def parse_spec(text: str) -> GroupSpec:
 
 def print_spec(spec: GroupSpec) -> str:
     """Render an AST back to DSL text; parse(print(ast)) == ast."""
-    if isinstance(spec, Cyclic):
-        return f"Z{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.n}"
-    if isinstance(spec, Dicyclic):
-        return f"Dic{spec.n}"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.n}"
+    if isinstance(spec, Atom):
+        return f"{spec.family}{spec.n}"
     if isinstance(spec, GeneralizedDihedralOf):
         return f"Dih({print_spec(spec.inner)})"
     if isinstance(spec, DirectProduct):
@@ -176,10 +156,6 @@ def print_spec(spec: GroupSpec) -> str:
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
-#: Least parameter of each atom family: Z1, D1 (= Z2), Dic2 (= Q8), S1, A1.
-_LEAST_PARAMETER = {Cyclic: 1, Dihedral: 1, Dicyclic: 2, Symmetric: 1, Alternating: 1}
-
-
 def spec_order(spec: GroupSpec, cap: int | None = None) -> int | None:
     """Order of the group a spec evaluates to, without building it.
 
@@ -188,19 +164,11 @@ def spec_order(spec: GroupSpec, cap: int | None = None) -> int | None:
     order, which exceeds the cap.  Raises SpecValueError for an atom whose
     parameter names no group, wherever it is in the spec.
     """
-    least = _LEAST_PARAMETER.get(type(spec))
-    if least is not None and spec.n < least:
-        raise SpecValueError(f"{print_spec(spec)} names no group: needs n >= {least}")
-    if isinstance(spec, Cyclic):
-        factors = [spec.n]
-    elif isinstance(spec, Dihedral):
-        factors = [2, spec.n]
-    elif isinstance(spec, Dicyclic):
-        factors = [4, spec.n]
-    elif isinstance(spec, Symmetric):
-        factors = range(2, spec.n + 1)
-    elif isinstance(spec, Alternating):
-        factors = range(3, spec.n + 1)  # n!/2, and 1 below A3
+    if isinstance(spec, Atom):
+        least, order_factors, _ = _FAMILIES[spec.family]
+        if spec.n < least:
+            raise SpecValueError(f"{print_spec(spec)} names no group: needs n >= {least}")
+        factors = order_factors(spec.n)
     elif isinstance(spec, GeneralizedDihedralOf):
         factors = [2, spec_order(spec.inner, cap)]
     elif isinstance(spec, DirectProduct):
@@ -228,16 +196,8 @@ def build(spec: GroupSpec, budget: int = ORDER_BUDGET) -> Group:
 
 
 def _build(spec: GroupSpec, budget: int) -> Group:
-    if isinstance(spec, Cyclic):
-        return groups.make_cyclic(spec.n, budget)
-    if isinstance(spec, Dihedral):
-        return groups.make_generalized_dihedral(groups.make_cyclic(spec.n, budget), budget)
-    if isinstance(spec, Dicyclic):
-        return groups.make_dicyclic(spec.n, budget)
-    if isinstance(spec, Symmetric):
-        return groups.make_symmetric(spec.n, budget)
-    if isinstance(spec, Alternating):
-        return groups.make_alternating(spec.n, budget)
+    if isinstance(spec, Atom):
+        return _FAMILIES[spec.family][2](spec.n, budget)
     if isinstance(spec, GeneralizedDihedralOf):
         return groups.make_generalized_dihedral(_build(spec.inner, budget), budget)
     if isinstance(spec, DirectProduct):

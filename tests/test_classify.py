@@ -125,9 +125,9 @@ def test_is_nilpotent():
 
 
 def test_nilpotent_formula():
-    assert nilpotent_formula(build(parse_spec("Z2 x Z2"))).nim == 0
-    assert nilpotent_formula(make_cyclic(9)).nim == 1
-    assert nilpotent_formula(make_cyclic(6)).nim == 3
+    assert nilpotent_formula(build(parse_spec("Z2 x Z2"))) == 0
+    assert nilpotent_formula(make_cyclic(9)) == 1
+    assert nilpotent_formula(make_cyclic(6)) == 3
     with pytest.raises(ValueError):
         nilpotent_formula(make_symmetric(3))
 
@@ -135,13 +135,13 @@ def test_nilpotent_formula():
 def test_nilpotent_formula_matches_classifier(catalog24):
     for _, g in catalog24:
         if is_nilpotent(g):
-            assert nilpotent_formula(g).nim == classify(g).nim
+            assert nilpotent_formula(g) == classify(g).nim
 
 
 def test_gendih_formula():
-    assert gendih_formula(make_cyclic(5)).nim == 3
-    assert gendih_formula(build(parse_spec("Z3 x Z3"))).nim == 0
-    assert gendih_formula(make_cyclic(4)).nim == 0
+    assert gendih_formula(make_cyclic(5)) == 3
+    assert gendih_formula(build(parse_spec("Z3 x Z3"))) == 0
+    assert gendih_formula(make_cyclic(4)) == 0
     with pytest.raises(ValueError):
         gendih_formula(make_symmetric(3))
 
@@ -150,11 +150,11 @@ def test_gendih_formula_matches_classifier():
     for aspec in ["Z2", "Z3", "Z5", "Z6", "Z9", "Z2 x Z2", "Z3 x Z3", "Z2 x Z4"]:
         a = build(parse_spec(aspec))
         g = build(parse_spec(f"Dih({aspec})"))
-        assert gendih_formula(a).nim == classify(g).nim
+        assert gendih_formula(a) == classify(g).nim
 
 
 def test_quaternion_prediction():
-    assert quaternion_formula().nim == 0
+    assert quaternion_formula() == 0
     for n in range(2, 7):
         assert classify(make_dicyclic(n)).nim == 0
 

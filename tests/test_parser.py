@@ -1,16 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from dng.errors import BudgetError, NonAbelianError, SpecSyntaxError, SpecValueError
+from dng.groups import ORDER_BUDGET
 from dng.groupspec import (
+    _FAMILIES,
     MAX_ATOMS,
-    Alternating,
-    Cyclic,
-    Dicyclic,
-    Dihedral,
+    Atom,
     DirectProduct,
     GeneralizedDihedralOf,
-    Symmetric,
     build,
     parse_spec,
     print_spec,
@@ -20,7 +18,7 @@ from dng.groupspec import (
 
 def test_left_associative_product():
     ast = parse_spec("Z2 x Z3 x Z3")
-    assert ast == DirectProduct(DirectProduct(Cyclic(2), Cyclic(3)), Cyclic(3))
+    assert ast == DirectProduct(DirectProduct(Atom("Z", 2), Atom("Z", 3)), Atom("Z", 3))
     assert spec_order(ast) == 18
 
 
@@ -32,7 +30,7 @@ def test_capped_order_is_exact_or_above_the_cap():
             capped = spec_order(spec, cap)
             assert capped == exact if capped is not None else exact > cap, (text, cap)
     assert spec_order(parse_spec("S5"), 100) == 120
-    assert spec_order(Symmetric(10**6), 720) is None  # stops at 7! > 720
+    assert spec_order(Atom("S", 10**6), 720) is None  # stops at 7! > 720
 
 
 def test_atom_limit():
@@ -55,7 +53,7 @@ def test_atom_limit():
 
 def test_dih_atom():
     ast = parse_spec("Dih(Z5)")
-    assert ast == GeneralizedDihedralOf(Cyclic(5))
+    assert ast == GeneralizedDihedralOf(Atom("Z", 5))
     assert build(ast).order == 10
 
 
@@ -71,14 +69,14 @@ def test_whitespace_insensitive():
 
 
 def test_atom_lookahead():
-    assert parse_spec("D4") == Dihedral(4)
-    assert parse_spec("Dic4") == Dicyclic(4)
-    assert parse_spec("Dih(Z4)") == GeneralizedDihedralOf(Cyclic(4))
+    assert parse_spec("D4") == Atom("D", 4)
+    assert parse_spec("Dic4") == Atom("Dic", 4)
+    assert parse_spec("Dih(Z4)") == GeneralizedDihedralOf(Atom("Z", 4))
 
 
 def test_parenthesized_atom():
     ast = parse_spec("Z2 x (Z3 x Z5)")
-    assert ast == DirectProduct(Cyclic(2), DirectProduct(Cyclic(3), Cyclic(5)))
+    assert ast == DirectProduct(Atom("Z", 2), DirectProduct(Atom("Z", 3), Atom("Z", 5)))
 
 
 def test_trailing_junk_rejected():
@@ -118,11 +116,11 @@ def test_build_budget():
 
 
 _atoms = st.one_of(
-    st.builds(Cyclic, st.integers(1, 30)),
-    st.builds(Dihedral, st.integers(1, 15)),
-    st.builds(Dicyclic, st.integers(2, 8)),
-    st.builds(Symmetric, st.integers(1, 5)),
-    st.builds(Alternating, st.integers(1, 5)),
+    st.builds(Atom, st.just("Z"), st.integers(1, 30)),
+    st.builds(Atom, st.just("D"), st.integers(1, 15)),
+    st.builds(Atom, st.just("Dic"), st.integers(2, 8)),
+    st.builds(Atom, st.just("S"), st.integers(1, 5)),
+    st.builds(Atom, st.just("A"), st.integers(1, 5)),
 )
 _specs = st.recursive(
     _atoms,
@@ -137,3 +135,25 @@ _specs = st.recursive(
 @given(_specs)
 def test_print_parse_round_trip(spec):
     assert parse_spec(print_spec(spec)) == spec
+
+
+@given(_specs)
+def test_table_order_is_the_built_order(spec):
+    """The order ``_FAMILIES`` predicts is the order its constructor builds."""
+    order = spec_order(spec)
+    if order > ORDER_BUDGET:
+        reject()
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    assert g.order == order
+
+
+@pytest.mark.parametrize("prefix", list(_FAMILIES))
+def test_each_family_starts_at_its_least_parameter(prefix):
+    least = _FAMILIES[prefix][0]
+    spec = parse_spec(f"{prefix}{least}")
+    assert build(spec).order == spec_order(spec)
+    with pytest.raises(SpecValueError, match=f"needs n >= {least}$"):
+        build(parse_spec(f"{prefix}{least - 1}"))

@@ -23,13 +23,9 @@ from dng.classify import barnes_first_player_wins, classify, is_nilpotent
 from dng.errors import NonAbelianError, OracleBudgetError
 from dng.groups import Group, min_generators
 from dng.groupspec import (
-    Alternating,
-    Cyclic,
-    Dicyclic,
-    Dihedral,
+    Atom,
     DirectProduct,
     GeneralizedDihedralOf,
-    Symmetric,
     build,
     parse_spec,
     spec_order,
@@ -80,11 +76,11 @@ def test_relabeling_keeps_every_invariant(spec, data):
 
 
 _atoms = st.one_of(
-    st.builds(Cyclic, st.integers(2, 48)),
-    st.builds(Dihedral, st.integers(1, 24)),
-    st.builds(Dicyclic, st.integers(2, 12)),
-    st.builds(Symmetric, st.integers(2, 4)),
-    st.builds(Alternating, st.integers(3, 4)),
+    st.builds(Atom, st.just("Z"), st.integers(2, 48)),
+    st.builds(Atom, st.just("D"), st.integers(1, 24)),
+    st.builds(Atom, st.just("Dic"), st.integers(2, 12)),
+    st.builds(Atom, st.just("S"), st.integers(2, 4)),
+    st.builds(Atom, st.just("A"), st.integers(3, 4)),
 )
 _small_specs = st.recursive(
     _atoms,

@@ -1,7 +1,8 @@
 """Source checks: the package makes no BLAS call and reads no environment
 variable, none of the three routes imports another, the lattice does not
-import numpy, only the closure and the enumeration call the coset join, and
-every public definition is read inside the package or exported.
+import numpy, only the closure and the enumeration call the coset join, the
+spec module writes each family's prefix once, and every public definition is
+read inside the package or exported.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
@@ -11,8 +12,9 @@ classifier, the structure solver and the oracle are three independent routes
 to the nim-number, so none may lean on another's code.  The lattice answers
 containment with Python ints, so only the group tables and the oracle's
 sweep need numpy.  Every other question of what a set generates goes
-through ``closure_mask``.  A helper that only tests call belongs in the
-tests.
+through ``closure_mask``.  The parser, the printer, the order check and the
+builder read each family from one table, so a family is one table row.  A
+helper that only tests call belongs in the tests.
 """
 
 import ast
@@ -179,6 +181,30 @@ def test_only_the_closure_and_the_enumeration_join():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= {f"{path.stem}.{c}" for c in _callers_of(tree, "join_element")}
     assert found == {"groups.closure_mask", "lattice._enumerate"}
+
+
+#: The grammar prefixes of the atom families.
+FAMILY_PREFIXES = {"Z", "D", "Dic", "S", "A"}
+
+
+def _string_constants(tree: ast.AST, values: set[str]) -> list[str]:
+    """The string constants, f-string parts included, that are in ``values``."""
+    return sorted(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in values
+    )
+
+
+def test_check_sees_family_prefixes():
+    src = 'p._lit("Z")\nf"Z{n}"\nf"{f}Dic"\n"Dih("\n"Z2"\n\'"D"\'\nZ = 1\n'
+    assert _string_constants(ast.parse(src), FAMILY_PREFIXES) == ["Dic", "Z", "Z"]
+
+
+def test_each_family_prefix_is_written_once():
+    path = Path(dng.__file__).parent / "groupspec.py"
+    found = _string_constants(ast.parse(path.read_text(), filename=str(path)), FAMILY_PREFIXES)
+    assert found == sorted(FAMILY_PREFIXES)
 
 
 def _unread_definitions(trees: list[ast.Module]) -> list[str]:
