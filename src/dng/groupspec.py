@@ -34,6 +34,13 @@ class Atom(GroupSpec):
     family: str
     n: int
 
+    def __post_init__(self) -> None:
+        if self.family not in _FAMILIES:
+            raise SpecValueError(
+                f"no atom family {self.family!r}: the families are "
+                + ", ".join(_FAMILIES)
+            )
+
 
 @dataclass(frozen=True)
 class GeneralizedDihedralOf(GroupSpec):

@@ -10,18 +10,24 @@ walk, ``groups.join_element``, that multiplies by a generating set of the
 representative: its parent's generators and the seed that made it, except
 that the trivial subgroup's join with a seed is the seed); a join not seen
 before is a new class, whose members are listed at once by conjugating with
-a generating set of g.  Since <H, hx> = <H, x> for h in H,
-a representative is joined with at most one seed per right coset.  Joins
-whose result Lagrange's theorem fixes are skipped: when K contains H with
-prime index, no subgroup lies strictly between them, so <H, x> = K for every
-x in K \\ H.  A representative of prime index in g is therefore maximal with
-no join at all, a join that returns a K of prime index over H settles all of
-K, and so does every prime-index overgroup found before H's turn.  Those are
-the found subgroups of order |H|p that hold each generator of H, read off
-one bitset of found subgroups per order and one per generator.  A proper
-subgroup is maximal iff its join with every seed outside it is the whole
-group (an element outside H has a prime-power part outside H), and the
-maximal subgroups are the classes of the maximal representatives.
+a generating set of g.  That walk also gives N_G(H) (Schreier's lemma):
+with K = u_K*H*u_K^-1 for each member K, a step by x from K to a member K'
+seen before gives u_K'^-1*x*u_K, and these generate N_G(H) modulo the
+central generators, which fix every coset.  Since <H, hx> = <H, x> for h
+in H, and n<H, x>n^-1 = <H, nxn^-1> for n in N_G(H) is in the class of
+<H, x>, listed whole when found, and is g only if <H, x> is, a
+representative is joined with at most one seed per N_G(H)-orbit of right
+cosets under conjugation.  Joins whose result Lagrange's theorem fixes are
+skipped: when K contains H with prime index, no subgroup lies strictly
+between them, so <H, x> = K for every x in K \\ H.  A representative of
+prime index in g is therefore maximal with no join at all, a join that
+returns a K of prime index over H settles all of K, and so does every
+prime-index overgroup found before H's turn.  Those are the found subgroups
+of order |H|p that hold each generator of H, read off one bitset of found
+subgroups per order and one per generator.  A proper subgroup is maximal
+iff its join with every seed outside it is the whole group (an element
+outside H has a prime-power part outside H), and the maximal subgroups are
+the classes of the maximal representatives.
 
 Which members of a list of subgroups contain a set is answered by its
 incidence, the bitmask of those members: the AND of its elements'
@@ -139,17 +145,24 @@ def _seeds(g: Group) -> list[tuple[int, int]]:
     )
 
 
-@per_group
-def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
-    """The masks of all subgroups, unsorted, and the maximal subgroups,
-    sorted by (order, mask), one conjugacy class at a time."""
+def _enumerate(
+    g: Group,
+) -> tuple[set[int], list[int], list[tuple[list[int], list[int], tuple[int, ...]]]]:
+    """The masks of all subgroups and of the maximal subgroups, unsorted, and
+    the conjugacy classes of subgroups, found one class at a time.
+
+    Each class lists its members, representative H first, a generating set
+    of H, and generators of N_G(H) modulo the central span generators.
+    """
     n, full = g.order, g.full_mask
+    cols = g.columns
+    inverses = g.inverses.tolist()
     # joining a seed's generator joins the seed
     seeds = _seeds(g)
     # conjugation by a generating set of g, taken greedily from the seeds:
-    # conj[h] is x*h*x^-1.  A central x fixes every subgroup, so its
-    # conjugation is left out.
-    conjugations: list[list[int]] = []
+    # each generator x with conj[h] = x*h*x^-1.  A central x fixes every
+    # subgroup, so it is left out.
+    conjugations: list[tuple[int, list[int]]] = []
     identity = list(range(n))
     span, span_gens = 1, []
     for c, x in seeds:
@@ -159,31 +172,39 @@ def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
             # the span's first step is the seed itself
             span = join_element(g, list(bits(span)), span_gens, x) if span_gens else c
             span_gens = [*span_gens, x]
-            conj = g.table[:, g.inverses[x]][g.table[x]].tolist()
+            conj = g.table[:, inverses[x]][g.table[x]].tolist()
             if conj != identity:
-                conjugations.append(conj)
+                conjugations.append((x, conj))
 
     pow2 = [1 << x for x in range(n)]
 
-    def conjugacy_class(h: int) -> list[int]:
+    def conjugacy_class(h: int) -> tuple[list[int], tuple[int, ...]]:
+        """The class of H, H first, and generators of N_G(H) modulo the
+        central span generators (Schreier's lemma): v^-1*x*u for each step
+        from u*H*u^-1 to a member v*H*v^-1 seen before, less the identity."""
         if not conjugations:  # g is abelian
-            return [h]
+            return [h], ()
         orbit = [h]
-        seen = {h}
+        via = {h: 0}  # each member K, with a u such that K = u*H*u^-1
+        normalizer = set()
         for k in orbit:  # grows while it is walked
             members = list(bits(k))
-            for conj in conjugations:
+            u = via[k]
+            for x, conj in conjugations:
                 # the images are distinct bits, so their sum is their OR
                 image = sum(map(pow2.__getitem__, map(conj.__getitem__, members)))
-                if image not in seen:
-                    seen.add(image)
+                v = via.get(image)
+                if v is None:
+                    via[image] = cols[u][x]
                     orbit.append(image)
-        return orbit
+                else:
+                    normalizer.add(cols[u][cols[x][inverses[v]]])
+        normalizer.discard(0)
+        return orbit, tuple(sorted(normalizer))
 
     # every prime dividing |g| is the order of an element (Cauchy)
     primes = {k for k in set(g.element_orders) if k > 1 and _least_prime(k) == k}
     seed_gens = mask_of(x for _, x in seeds)
-    cols = g.columns
     cyclic = g.cyclic_masks
     found = {1, full}
     # The proper nontrivial subgroups found so far, numbered as found: bit i
@@ -194,12 +215,12 @@ def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
     of_order: dict[int, int] = {}
     holding: dict[int, int] = {}
     indexed = 0  # the keys of holding, as a mask
-    # each class lists its members, representative first, and a generating
-    # set of the representative: its parent's plus the seed that made it, at
-    # most log2 of its order long
-    classes: list[tuple[list[int], list[int]]] = [([1], [])]
+    # each class: its members, representative first, a generating set of the
+    # representative (its parent's plus the seed that made it, at most log2
+    # of its order long) and the representative's normalizer generators
+    classes = [([1], [], conjugacy_class(1)[1])]
     maximals: list[int] = []
-    for orbit, gens in classes:  # grows while it is walked
+    for orbit, gens, normalizer in classes:  # grows while it is walked
         h = orbit[0]
         k = h.bit_count()
         if n // k in primes:  # a subgroup of prime index is maximal
@@ -215,11 +236,18 @@ def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
         for z in gens:
             over &= holding[z]
         maximal = not over
-        todo = seed_gens & ~h
-        for i in bits(over):
-            todo &= ~listed[i]
+        known = h  # H and its known overgroups
+        while over:
+            i = over.bit_length() - 1
+            over ^= 1 << i
+            known |= listed[i]
+        todo = seed_gens & ~known
+        if not todo:  # every join is a known overgroup, so H is not maximal
+            continue
         members = list(bits(h))
-        # <H, hx> = <H, x> for h in H: one join per right coset of H
+        # conjugation by each normalizer generator s: y -> s*y*s^-1
+        by = [(s, cols[inverses[s]]) for s in normalizer]
+        # one join per N_G(H)-orbit of right cosets (see the module docstring)
         coset = bytearray(n)
         while todo:
             low = todo & -todo
@@ -233,8 +261,8 @@ def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
                 maximal = False
                 size = j.bit_count()
                 if j not in found:
-                    orbit_j = conjugacy_class(j)
-                    classes.append((orbit_j, [*gens, x]))
+                    orbit_j, normalizer_j = conjugacy_class(j)
+                    classes.append((orbit_j, [*gens, x], normalizer_j))
                     found.update(orbit_j)
                     if len(found) > SUBGROUP_GUARD:
                         raise LatticeGuardError(
@@ -251,30 +279,54 @@ def _enumerate(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
                         (1 << len(orbit_j)) - 1
                     ) << start
                     for i, m in enumerate(orbit_j, start):
-                        for z in bits(m & indexed):
-                            holding[z] |= 1 << i
+                        bit = 1 << i
+                        m &= indexed
+                        while m:
+                            z = m.bit_length() - 1
+                            m ^= 1 << z
+                            holding[z] |= bit
                 if size // k in primes:  # <H, y> = j for every y in j
                     todo &= ~j
                     continue
+            # mark the orbit of Hx, one right coset per element reached
             col = cols[x]
             for m in members:
                 coset[col[m]] = 1
+            ys = [x]
+            for y in ys:  # grows while it is walked
+                col = cols[y]
+                for s, right in by:
+                    z = right[col[s]]
+                    if not coset[z]:
+                        ys.append(z)
+                        col_z = cols[z]
+                        for m in members:
+                            coset[col_z[m]] = 1
         if maximal:
             maximals.extend(orbit)
+    return found, maximals, classes
+
+
+@per_group
+def _lattice(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
+    """The masks of all subgroups, unsorted, and the maximal subgroups, sorted
+    by (order, mask).  The classes are not kept: on Z2^6 they would triple
+    the memory this result holds."""
+    found, maximals, _ = _enumerate(g)
     return found, _sorted_subgroups(maximals)
 
 
 @per_group
 def all_subgroups(g: Group) -> tuple[Subgroup, ...]:
     """Every subgroup of g, sorted by (order, mask)."""
-    return _sorted_subgroups(_enumerate(g)[0])
+    return _sorted_subgroups(_lattice(g)[0])
 
 
 def maximal_subgroups(g: Group) -> list[Subgroup]:
     """Proper subgroups maximal under inclusion, sorted by (order, mask)."""
     if g.order < 2:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
-    return list(_enumerate(g)[1])
+    return list(_lattice(g)[1])
 
 
 @dataclass(frozen=True)

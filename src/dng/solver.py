@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Union
 
 from .errors import SolverConsistencyError, TrivialGroupError
@@ -224,4 +225,6 @@ def type_multiset(d: StructureDigraph) -> dict[str, int]:
     """Counts of solved node types, keyed by the printed triple."""
     if not d.solved:
         raise ValueError("type_multiset needs a solved digraph")
-    return dict(sorted(Counter(str(t) for t in d.types).items()))
+    # count the field tuples, then print the few distinct ones
+    counts = Counter(map(attrgetter("parity", "nim_even", "nim_odd"), d.types))
+    return dict(sorted((str(TypeTriple(*t)), c) for t, c in counts.items()))

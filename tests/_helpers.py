@@ -398,12 +398,19 @@ def reference_largest_odd_normal_in_frattini(g: Group) -> int:
 # did before its whole-table gathers.
 
 
-def reference_is_normal(g: Group, mask: int) -> bool:
-    """True iff x*m*x^-1 lies in the subgroup for every x in g and m in it."""
+def reference_normalizer(g: Group, mask: int) -> int:
+    """The elements x with x*m*x^-1 in the subgroup for every m in it."""
     t = g.table.tolist()
     inv = g.inverses.tolist()
     members = list(bits(mask))
-    return all(mask >> t[t[x][m]][inv[x]] & 1 for x in range(g.order) for m in members)
+    return mask_of(
+        x for x in range(g.order) if all(mask >> t[t[x][m]][inv[x]] & 1 for m in members)
+    )
+
+
+def reference_is_normal(g: Group, mask: int) -> bool:
+    """True iff x*m*x^-1 lies in the subgroup for every x in g and m in it."""
+    return reference_normalizer(g, mask) == g.full_mask
 
 
 def reference_coset_ids(g: Group, mask: int) -> list[int]:

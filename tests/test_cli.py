@@ -368,6 +368,26 @@ def test_module_entry_point():
     assert proc.stdout.startswith("group: S3 (order 6)\n")
 
 
+def test_closed_pipe_exits_1_without_a_traceback():
+    """A reader that stops after the header (``dng verify | head -1``) ends
+    the run at its next row: exit 1 and nothing on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dng.cli", "verify", "--max-order", "720", "--no-oracle"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"name,order,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

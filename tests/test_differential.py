@@ -29,6 +29,7 @@ from _helpers import (
     reference_largest_odd_normal_in_frattini,
     reference_maximal_masks,
     reference_min_generators,
+    reference_normalizer,
     reference_perm_table,
     reference_quotient_table,
     reference_real_element_disjunction,
@@ -58,11 +59,13 @@ from dng.groups import (
     make_cyclic,
     make_dicyclic,
     make_symmetric,
+    mask_of,
     min_generators,
     quotient,
 )
 from dng.groupspec import build, parse_spec
 from dng.lattice import (
+    _enumerate,
     _masks,
     _seeds,
     _walk,
@@ -175,6 +178,21 @@ def test_enumeration_matches_coset_fixpoint(spec):
     subgroups, maximals = reference_enumerate(_group(spec))
     assert [s.mask for s in all_subgroups(g)] == subgroups
     assert [m.mask for m in maximal_subgroups(g)] == maximals
+
+
+@pytest.mark.parametrize("spec", catalog_specs(48) + ["S5", "A4 x A4", "S4 x S3"])
+def test_class_normalizers_match_brute_force(spec):
+    """Enumeration joins a class representative H once per orbit of right
+    cosets under the normalizer generators recorded with its class.  Each of
+    them normalizes H, and with the center, whose elements fix every coset
+    (the central span generators among them), they generate N_G(H)."""
+    g = build(parse_spec(spec))
+    t = g.table.tolist()
+    center = mask_of(z for z, row in enumerate(t) if row == [r[z] for r in t])
+    for orbit, _, normalizer in _enumerate(g)[2]:
+        expected = reference_normalizer(g, orbit[0])
+        assert mask_of(normalizer) & ~expected == 0
+        assert reference_closure_mask(g, mask_of(normalizer) | center) == expected
 
 
 #: Z2^4 and D127 have 67 and 130 subgroups, so containers are ints of as many

@@ -157,3 +157,12 @@ def test_each_family_starts_at_its_least_parameter(prefix):
     assert build(spec).order == spec_order(spec)
     with pytest.raises(SpecValueError, match=f"needs n >= {least}$"):
         build(parse_spec(f"{prefix}{least - 1}"))
+
+
+@pytest.mark.parametrize("family", ["Q", "Dih", "", "z", "Z "])
+def test_atom_of_an_unknown_family_raises(family):
+    """An atom names a family in ``_FAMILIES`` or is never made, so printing,
+    sizing and building never meet an unknown prefix.  Each known family
+    makes its atoms in ``test_each_family_starts_at_its_least_parameter``."""
+    with pytest.raises(SpecValueError, match=f"no atom family {family!r}"):
+        Atom(family, 2)
