@@ -42,7 +42,7 @@ from .lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from .oracle import OracleResult, brute_nim, brute_nim_position, brute_nim_table
+from .oracle import OracleResult, brute_nim, brute_nim_table
 from .solver import (
     SimplifiedDiagram,
     StructureDigraph,
@@ -72,7 +72,6 @@ __all__ = [
     "all_subgroups",
     "barnes_first_player_wins",
     "brute_nim",
-    "brute_nim_position",
     "brute_nim_table",
     "build",
     "classify",

@@ -64,9 +64,9 @@ class OracleBudgetError(DngError):
 class SolverConsistencyError(DngError):
     """Theory and computation disagree (implementation bug).
 
-    Raised when the mex calculus produces an inconsistent type triple, when
-    the oracle's maximal subgroups own a different number of positions than
-    the class sizes of the intersection poset predict, or when a nim-number
-    outgrows the oracle's one-byte cells, which hold a value below 7 as one
-    set bit.
+    Raised when the mex calculus produces a type outside the paper's
+    four-type spectrum, when the oracle's maximal subgroups own a different
+    number of positions than the class sizes of the intersection poset
+    predict, or when a nim-number outgrows the oracle's one-byte cells, which
+    hold a value below 7 as one set bit.
     """

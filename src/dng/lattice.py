@@ -209,12 +209,10 @@ def _enumerate(
     found = {1, full}
     # The proper nontrivial subgroups found so far, numbered as found: bit i
     # of of_order[k] is set iff listed[i] has order k, and bit i of
-    # holding[z] iff listed[i] contains z.  Only the seed generators that
-    # some class representative's generating set uses are indexed.
+    # holding[z] iff listed[i] contains the seed generator z.
     listed: list[int] = []
     of_order: dict[int, int] = {}
-    holding: dict[int, int] = {}
-    indexed = 0  # the keys of holding, as a mask
+    holding = dict.fromkeys(bits(seed_gens), 0)
     # each class: its members, representative first, a generating set of the
     # representative (its parent's plus the seed that made it, at most log2
     # of its order long) and the representative's normalizer generators
@@ -268,11 +266,6 @@ def _enumerate(
                         raise LatticeGuardError(
                             f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
                         )
-                    if not indexed >> x & 1:  # x generates a class from now on
-                        indexed |= 1 << x
-                        holding[x] = sum(
-                            1 << i for i, m in enumerate(listed) if m >> x & 1
-                        )
                     start = len(listed)
                     listed += orbit_j
                     of_order[size] = of_order.get(size, 0) | (
@@ -280,7 +273,7 @@ def _enumerate(
                     ) << start
                     for i, m in enumerate(orbit_j, start):
                         bit = 1 << i
-                        m &= indexed
+                        m &= seed_gens
                         while m:
                             z = m.bit_length() - 1
                             m ^= 1 << z
@@ -462,20 +455,17 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
     )
 
 
-def class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:
-    """Number of subsets containing ``base`` whose smallest containing
-    intersection is each member that contains ``base``.
+def class_sizes(g: Group) -> tuple[int, ...]:
+    """Number of subsets whose smallest containing intersection is each of
+    the ``intersection_subgroups(g).members``.
 
-    Entry i belongs to the i-th of the ``intersection_subgroups(g).members``
-    that contain ``base``.  Every non-generating subset has exactly one
-    smallest intersection subgroup containing it, so g(I) = 2^(|I| - |base|)
-    - sum of g(J) over those members J strictly inside I, and the sizes sum
-    to the number of game positions at or above ``base``.
+    Every non-generating subset has exactly one smallest intersection
+    subgroup containing it, so g(I) = 2^|I| - sum of g(J) over the members J
+    strictly inside I, and the sizes sum to the number of game positions.
     """
-    members = intersection_subgroups(g).members
-    masks = [s.mask for s in members if base & ~s.mask == 0]
+    masks = [s.mask for s in intersection_subgroups(g).members]
     index = Incidence.over(masks, g.order)
-    sizes = [1 << (a.bit_count() - base.bit_count()) for a in masks]
+    sizes = [1 << a.bit_count() for a in masks]
     # members are sorted by order, so every proper subgroup J of I comes
     # first and has its final size when I's turn comes
     for i, a in enumerate(masks):

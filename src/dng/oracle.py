@@ -1,17 +1,16 @@
 """Brute-force verification by one level-by-level sweep over literal positions.
 
 The positions of the game are the non-generating sets, which are exactly the
-subsets of the maximal subgroups.  For each maximal subgroup M containing the
-base position p, the sweep keeps one numpy array over the subsets of M minus
-p, indexed by a local bitmask: bit b stands for the b-th element of M \\ p.
-A cell holds the nim-number of its position as a one-hot ``uint8``, so a
-seen-set is the OR of its children's cells and the mex is its lowest clear
-bit.  Up to 8 maximals with the same number of free elements share a stack,
-one byte lane each: the stack holds one word of 1, 2, 4 or 8 bytes per
-subset, and the lanes no maximal fills hold a free game valued 0 or 1.  The
-arrays are filled one size level at a time, from |M| down to p, and each
-level of a stack a chunk of subsets at a time, so that no numpy temporary
-reaches glibc's mmap threshold:
+subsets of the maximal subgroups.  For each maximal subgroup M the sweep
+keeps one numpy array over the subsets of M, indexed by a local bitmask: bit
+b stands for the b-th element of M.  A cell holds the nim-number of its
+position as a one-hot ``uint8``, so a seen-set is the OR of its children's
+cells and the mex is its lowest clear bit.  Up to 8 maximals of the same
+order share a stack, one byte lane each: the stack holds one word of 1, 2, 4
+or 8 bytes per subset, and the lanes no maximal fills hold a free game valued
+0 or 1.  The arrays are filled one size level at a time, from |M| down to the
+empty set, and each level of a stack a chunk of subsets at a time, so that
+no numpy temporary reaches glibc's mmap threshold:
 
 1. each cell ORs its children one level up inside its own maximal, one
    element at a time: the child that adds element b, one word for every
@@ -33,13 +32,12 @@ level writes only its own cells, so OR and copy leave both unchanged.
 Each subset of size s is the child of exactly s positions, so the number of
 moves (``effort``) is the sum of the sizes of the owned subsets.  Values are
 kept per literal subset and never read the structure classes, so the oracle
-stays independent of the theory it cross-checks.  Before every sweep, from
-the empty set or from any other base, the oracle counts the positions at or
-above the base, the non-generating sets that contain it, from the
-intersection poset (``class_sizes``) and skips the sweep when the count
-exceeds the budget.  The poset decides only whether the sweep runs; the
-value never depends on it, and the maximals must own exactly the predicted
-number of positions before any position is valued.
+stays independent of the theory it cross-checks.  Before every sweep the
+oracle counts the positions from the intersection poset (``class_sizes``)
+and skips the sweep when the count exceeds the budget.  The poset decides
+only whether the sweep runs; the value never depends on it, and the maximals
+must own exactly the predicted number of positions before any position is
+valued.
 """
 
 from __future__ import annotations
@@ -49,13 +47,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    GeneratingSetError,
-    OracleBudgetError,
-    SolverConsistencyError,
-)
+from .errors import OracleBudgetError, SolverConsistencyError
 from .groups import Group, bits
-from .lattice import class_sizes, maximal_incidence
+from .lattice import class_sizes, maximal_subgroups
 
 #: Default cap on the number of positions (non-generating subsets) a full
 #: sweep may value, decided before sweeping; larger games fall back to
@@ -64,8 +58,8 @@ DEFAULT_BUDGET = 2_000_000
 
 #: Largest budget the command line accepts.  The budget counts positions,
 #: not memory: a sweep allocates at least one cell per subset of each maximal
-#: subgroup M containing the base p, the sum of 2^|M \ p|, and ``MAX_CELLS``
-#: bounds the cells it allocates.
+#: subgroup M, the sum of 2^|M|, and ``MAX_CELLS`` bounds the cells it
+#: allocates.
 MAX_BUDGET = 2**64
 
 #: Most cells a sweep may allocate, padding lanes included, counted before
@@ -155,52 +149,41 @@ def _width(lanes: list[int]) -> int:
 
 @dataclass
 class _Sweep:
-    elems: list[list[int]]  # per maximal containing the base, M \ base
+    elems: list[list[int]]  # per maximal subgroup, its elements
     cells: list[np.ndarray]  # per maximal, the one-hot value of each subset
     positions: int  # subsets owned by their first maximal
-    effort: int  # sum of the owned subsets' sizes above the base
-
-    @property
-    def base(self) -> int:
-        """The base position's cell."""
-        return int(self.cells[0][0])
+    effort: int  # sum of the owned subsets' sizes
 
 
-def _sweep(g: Group, base: int, budget: int) -> _Sweep:
-    """Value every position at or above ``base``, largest first.
+def _sweep(g: Group, budget: int) -> _Sweep:
+    """Value every position of the game, largest first.
 
     Every check comes first, in this order, and all but the last before any
     array is allocated:
 
-    1. GeneratingSetError when ``base`` generates g;
-    2. OracleBudgetError when some maximal subgroup M containing ``base`` has
-       2^|M \\ base| > ``budget``: every subset of M that contains ``base``
-       is a position.  This reads only the maximal incidence;
-    3. OracleBudgetError when the class sizes predict more than ``budget``
+    1. OracleBudgetError when some maximal subgroup M has 2^|M| > ``budget``:
+       every subset of M is a position.  This reads only the maximal
+       subgroups;
+    2. OracleBudgetError when the class sizes predict more than ``budget``
        positions;
-    4. OracleBudgetError when the stacks, padding lanes included, need more
+    3. OracleBudgetError when the stacks, padding lanes included, need more
        than ``MAX_CELLS`` cells;
-    5. SolverConsistencyError, before the stacks are allocated, when the
+    4. SolverConsistencyError, before the stacks are allocated, when the
        maximals own a different number of positions than predicted.
     """
-    incidence = maximal_incidence(g)
-    inc = incidence.of(base)
-    if not inc:
-        raise GeneratingSetError("the set generates the whole group")
-    free = [incidence.masks[i] & ~base for i in bits(inc)]
-    top = max(f.bit_count() for f in free)
+    masks = [m.mask for m in maximal_subgroups(g)]
+    top = max(m.bit_count() for m in masks)
     if 1 << top > budget:
         raise OracleBudgetError(
             f"at least 2^{top} positions, over the budget of {budget}"
         )
-    predicted = sum(class_sizes(g, base))
+    predicted = sum(class_sizes(g))
     if predicted > budget:
         raise OracleBudgetError(
             f"{predicted} positions, over the budget of {budget}"
         )
-    elems = [list(bits(f)) for f in free]
-    # maximals with the same number of free elements share stacks of at
-    # most 8 lanes
+    elems = [list(bits(m)) for m in masks]
+    # maximals of the same order share stacks of at most 8 lanes
     layout = []
     for n in sorted(set(map(len, elems))):
         same = [i for i, e in enumerate(elems) if len(e) == n]
@@ -213,9 +196,9 @@ def _sweep(g: Group, base: int, budget: int) -> _Sweep:
     bit = [{x: 1 << b for b, x in enumerate(e)} for e in elems]
     owned = [np.ones(1 << len(f), dtype=bool) for f in elems]
     pairs = []  # (k, i, j, ii, jj): the 2^k shared subsets' local indices
-    for i in range(len(free)):
-        for j in range(i + 1, len(free)):
-            shared = list(bits(free[i] & free[j]))
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            shared = list(bits(masks[i] & masks[j]))
             ii, jj = (np.array(_unions([bit[m][x] for x in shared])) for m in (i, j))
             owned[j][jj] = False
             pairs.append((len(shared), i, j, ii, jj))
@@ -248,7 +231,6 @@ def _sweep(g: Group, base: int, budget: int) -> _Sweep:
                 for lo in range(0, len(at), CHUNK_CELLS):
                     yield n, words, at[lo : lo + CHUNK_CELLS].astype(np.intp)
 
-    size = base.bit_count()
     for level in range(max(n for n, _ in stacks), -1, -1):
         for n, words, part in chunks(level):
             seen = np.zeros(len(part), dtype=words.dtype)
@@ -261,7 +243,7 @@ def _sweep(g: Group, base: int, budget: int) -> _Sweep:
         for ci, cj, ii, jj in live:  # owners see the children in every maximal
             ci[ii] |= cj[jj]
         for n, words, part in chunks(level):
-            valued = _mex_bit(words[part].view(np.uint8), size + level)
+            valued = _mex_bit(words[part].view(np.uint8), level)
             words[part] = valued.view(words.dtype)
         for ci, cj, ii, jj in live:  # ascending i: each source is final
             cj[jj] = ci[ii]
@@ -271,9 +253,9 @@ def _sweep(g: Group, base: int, budget: int) -> _Sweep:
 def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Nim-number of the starting position, with the number of positions and
     the number of moves between them (``effort``)."""
-    sweep = _sweep(g, 0, budget)
+    sweep = _sweep(g, budget)
     return OracleResult(
-        nim=sweep.base.bit_length() - 1,
+        nim=int(sweep.cells[0][0]).bit_length() - 1,
         memo_size=sweep.positions,
         effort=sweep.effort,
     )
@@ -281,22 +263,10 @@ def brute_nim(g: Group, budget: int = DEFAULT_BUDGET) -> OracleResult:
 
 def brute_nim_table(g: Group, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Nim-numbers of every position, keyed by bitmask."""
-    sweep = _sweep(g, 0, budget)
+    sweep = _sweep(g, budget)
     table: dict[int, int] = {}
     for elems, cells in zip(sweep.elems, sweep.cells):
         masks = _unions([1 << x for x in elems])  # the position at each index
         nims = np.bitwise_count(cells - _ONE)  # 1 << v minus 1 has v bits
         table.update(zip(masks, nims.tolist()))
     return table
-
-
-def brute_nim_position(g: Group, p: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Nim-number of an arbitrary position, given as a bitmask.
-
-    The sweep values the positions at or above p, the non-generating sets
-    that contain p.  Before valuing any of them it raises GeneratingSetError
-    when p generates g, OracleBudgetError when more than ``budget`` of them
-    exist, and SolverConsistencyError when the maximal subgroups own a
-    different number than the class sizes predict.
-    """
-    return _sweep(g, p, budget).base.bit_length() - 1

@@ -13,7 +13,8 @@ positions).  Types are solved bottom-up:
   ``nim_{1-p} = mex({nim_p} ∪ {comp(t, p)})``.
 
 ``comp(t, q)`` is the nim-number of parity-``q`` positions of a class of
-type ``t``.  A consistency identity cross-checks every node.
+type ``t``.  A solved type outside the paper's four-type spectrum
+(``SPECTRUM``) raises SolverConsistencyError.
 
 The nodes are the intersection poset and each node's successors its moves
 (``lattice.intersection_subgroups``), found in one walk over incidences and
@@ -125,7 +126,8 @@ def solve_types(d: StructureDigraph) -> StructureDigraph:
     topological order; a successor at or before its node is a ValueError.
     Each solved node gets the one-hot id of its type, the OR of its
     successors' ids is its option set, and each distinct (parity, option
-    set) is solved once.
+    set) is solved once.  A type outside ``SPECTRUM`` raises
+    SolverConsistencyError.
     """
     n = len(d.nodes)
     kinds: list[TypeTriple] = []  # the type whose id is 1 << b is kinds[b]
@@ -143,17 +145,16 @@ def solve_types(d: StructureDigraph) -> StructureDigraph:
             opts = {kinds[b] for b in bits(options)}
             nim_same = mex({t.component(1 - p) for t in opts})
             nim_other = mex({nim_same} | {t.component(p) for t in opts})
-            check = mex({nim_other} | {t.component(1 - p) for t in opts})
-            if check != nim_same:
-                raise SolverConsistencyError(
-                    f"node of order {d.nodes[i].order}: parity {p}, "
-                    f"options {sorted(map(str, opts))} give "
-                    f"nim_same={nim_same}, nim_other={nim_other}, recheck={check}"
-                )
             if p:
                 t = TypeTriple(1, nim_other, nim_same)
             else:
                 t = TypeTriple(0, nim_same, nim_other)
+            if t not in SPECTRUM:
+                raise SolverConsistencyError(
+                    f"node of order {d.nodes[i].order}: options "
+                    f"{sorted(map(str, opts))} give the type {t}, outside "
+                    "the four-type spectrum"
+                )
             if t not in kinds:
                 kinds.append(t)
             solved[p, options] = 1 << kinds.index(t)

@@ -487,15 +487,14 @@ def reference_structure_digraph(g: Group) -> StructureDigraph:
     )
 
 
-def reference_class_sizes(g: Group, base: int = 0) -> tuple[int, ...]:
+def reference_class_sizes(g: Group) -> tuple[int, ...]:
     """``lattice.class_sizes`` by testing every pair of poset members for
     inclusion, as the library did before it read overgroups off an index."""
-    members = intersection_subgroups(g).members
-    masks = [s.mask for s in members if base & ~s.mask == 0]
+    masks = [s.mask for s in intersection_subgroups(g).members]
     sizes: list[int] = []
     # members are sorted by order, so every proper subgroup J of I comes first
     for i, a in enumerate(masks):
-        n = 1 << (a.bit_count() - base.bit_count())
+        n = 1 << a.bit_count()
         for b, size in zip(masks[:i], sizes):
             if b & ~a == 0:
                 n -= size

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dng import cli, lattice, solver
 from dng.cli import CSV_COLUMNS, main
@@ -245,14 +248,16 @@ def test_verify_empty_catalog(capsys):
 
 def test_verify_custom_catalog(tmp_path, capsys):
     f = tmp_path / "specs.txt"
-    f.write_text("# survey\nS3\nZ4\n\nDic2\n")
+    f.write_text("# survey\nS3\nZ4\n\nDic2\nZ2 x Z2 x Z2 x Z2\n")
     code, out, err = run_cli(capsys, "verify", "--catalog", str(f))
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1].startswith("S3,")
     assert lines[2].startswith("Z4,")
     assert lines[3].startswith("Dic2,")
+    # Z2^4 needs 4 generators, one more than min_generators tries
+    assert lines[4].startswith("Z2 x Z2 x Z2 x Z2,") and lines[4].endswith(",>3")
 
 
 def test_verify_catalog_bad_line_number(tmp_path, capsys):
@@ -329,6 +334,8 @@ def test_verify_missing_catalog_exit_2(tmp_path, capsys):
         ["diagram", "S3", "--max-order", "0"],
         ["verify", "--max-order", "0"],
         ["verify", "--budget", "0"],
+        ["analyze", "S3", "--max-order", "abc"],
+        ["analyze", "S3", "--budget", "1e3"],
     ],
 )
 def test_non_positive_bound_exit_2(capsys, argv):
@@ -413,3 +420,64 @@ def test_analyze_wide_incidence(capsys):
     assert code == 0
     assert "solver: *3 nodes=129 edges=128" in out
     assert "agreement: yes" in out
+
+
+#: Pieces of group specs: the grammar's tokens, stray digits and whitespace.
+SPEC_TOKENS = ["Z", "D", "Dic", "S", "A", "Dih(", "(", ")", "x", " x ",
+               "0", "1", "2", "3", "4", "6", "12", " ", "\t", "\u0663"]
+BOUND_JUNK = ["", "0", "-1", "abc", "1e3", "2.5", " 7", "\u0663", "0x10"]
+FLAGS = {
+    "analyze": ["--json", "--fast", "--no-oracle", "--mod-frattini"],
+    "diagram": ["--simplified", "--lattice", "--mod-frattini"],
+}
+
+
+def _rarely(draw, common, rare):
+    """A draw from ``common``, or one time in eight from ``rare``."""
+    return draw(rare if draw(st.sampled_from(range(8))) == 7 else common)
+
+
+@st.composite
+def _spec(draw):
+    """Products of up to two atoms with stray whitespace around them, and
+    one time in eight token soup, a Dih(...) around them or a stray token
+    after them."""
+    soup = st.lists(st.sampled_from(SPEC_TOKENS), max_size=8).map("".join)
+    atom = st.tuples(
+        st.sampled_from(["Z", "D", "Dic", "S", "A"]), st.sampled_from(range(9))
+    )
+    product = st.lists(atom, min_size=1, max_size=2).map(
+        lambda atoms: " x ".join(f"{f}{n}" for f, n in atoms)
+    )
+    spec = _rarely(draw, product, soup)
+    if _rarely(draw, st.just(False), st.just(True)):
+        spec = f"Dih({spec})"
+    stray = st.sampled_from(["", " ", "\t"])
+    return draw(stray) + spec + _rarely(draw, stray, st.sampled_from(SPEC_TOKENS))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    junk = st.sampled_from(BOUND_JUNK)
+    argv = [command, draw(_spec()), "--max-order",
+            _rarely(draw, st.sampled_from(range(1, 49)).map(str), junk)]
+    if command == "analyze":  # the oracle's budget keeps every sweep small
+        argv += ["--budget", _rarely(draw, st.integers(1, 10**4).map(str), junk)]
+    # a flag of the other command is an argparse error
+    flags = _rarely(draw, st.just(FLAGS[command]), st.just(sum(FLAGS.values(), [])))
+    return argv + draw(st.lists(st.sampled_from(flags), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+            assert code == 2, (argv, err.getvalue())
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

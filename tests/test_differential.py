@@ -78,7 +78,7 @@ from dng.lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from dng.oracle import brute_nim, brute_nim_position, brute_nim_table
+from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import solve_types, structure_digraph
 
 SPECS = catalog_specs(36) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"]
@@ -316,11 +316,13 @@ def test_oracle_matches_reference_search(built, searched, spec):
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_position_matches_reference_search(built, searched, spec):
     g, ref = built(spec), searched(spec)
-    # the other members of the intersection poset: bases in two or more
-    # maximals, some of whose pairs share no free element
-    members = sorted(reference_intersection_masks(ref.maximals) - set(ref.maximals))
-    for p in [0, *ref.maximals, *members]:
-        assert brute_nim_position(g, p) == ref.nim(p)
+    # every copy of a position, not only the one brute_nim_table keeps: a
+    # position in several maximals is read from each at the level below
+    sweep = oracle._sweep(g, oracle.DEFAULT_BUDGET)
+    for elems, cells in zip(sweep.elems, sweep.cells):
+        positions = oracle._unions([1 << x for x in elems])
+        values = [c.bit_length() - 1 for c in cells.tolist()]
+        assert values == [ref.nim(p) for p in positions], elems
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -339,7 +341,7 @@ def test_sweep_stacks_cover_every_lane_width(built):
     # stride of its cells is the stack's width
     widths, crowded = set(), set()
     for spec in ORACLE_SPECS:
-        sweep = oracle._sweep(built(spec), 0, oracle.DEFAULT_BUDGET)
+        sweep = oracle._sweep(built(spec), oracle.DEFAULT_BUDGET)
         widths |= {c.strides[0] for c in sweep.cells}
         sizes = [len(e) for e in sweep.elems]
         if any(sizes.count(n) > 8 for n in sizes):
@@ -352,13 +354,10 @@ def test_sweep_stacks_cover_every_lane_width(built):
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_sweep_chunk_boundaries_match_reference(monkeypatch, built, searched, spec):
     g, ref = built(spec), searched(spec)
-    # chunks of one or three subsets split every level of every stack; the
-    # sweep from the empty set is brute_nim_table's
+    # chunks of one or three subsets split every level of every stack
     for chunk in [1, 3]:
         monkeypatch.setattr(oracle, "CHUNK_CELLS", chunk)
         assert brute_nim_table(g) == ref.memo, chunk
-        for p in ref.maximals:
-            assert brute_nim_position(g, p) == ref.nim(p), chunk
 
 
 @pytest.mark.parametrize("spec", catalog_specs(12))
@@ -453,11 +452,7 @@ def test_cyclic_walks_match_power_loop_and_closure(catalog96, built):
 def test_class_sizes_match_pairwise_inclusion(catalog96, built):
     extras = ["S6", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3 x Z3 x Z3"]
     for name, g in catalog96 + [(spec, built(spec)) for spec in extras]:
-        bases = [0, *(m.mask for m in maximal_subgroups(g))]
-        if g.order <= 24:
-            bases += [s.mask for s in intersection_subgroups(g).members]
-        for p in bases:
-            assert class_sizes(g, p) == reference_class_sizes(g, p), (name, p)
+        assert class_sizes(g) == reference_class_sizes(g), name
 
 
 def test_min_generators_matches_closure_search(catalog96, built):

@@ -5,7 +5,6 @@ import pytest
 
 from dng import oracle
 from dng.errors import (
-    GeneratingSetError,
     OracleBudgetError,
     SolverConsistencyError,
     TrivialGroupError,
@@ -17,7 +16,7 @@ from dng.lattice import (
     maximal_subgroups,
     smallest_intersection_containing,
 )
-from dng.oracle import brute_nim, brute_nim_position, brute_nim_table
+from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import mex
 
 
@@ -70,12 +69,6 @@ def test_budget_exceeded():
 def test_class_sizes_count_positions(spec):
     g = build(parse_spec(spec))
     assert sum(class_sizes(g)) == brute_nim(g).memo_size
-    # above a base: the identity, each maximal and its largest element
-    table = brute_nim_table(g)
-    for m in maximal_subgroups(g):
-        for p in [1, m.mask, 1 << m.mask.bit_length() - 1]:
-            above = sum(1 for q in table if p & ~q == 0)
-            assert sum(class_sizes(g, p)) == above, p
 
 
 def test_class_sizes_s5_golden():
@@ -123,7 +116,7 @@ def test_lower_bound_skip_needs_no_poset(monkeypatch, spec, budget):
 
 
 def test_count_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (13,))
+    monkeypatch.setattr(oracle, "class_sizes", lambda g: (13,))
     with pytest.raises(SolverConsistencyError, match="14.*13"):
         brute_nim(make_symmetric(3))
 
@@ -131,19 +124,19 @@ def test_count_mismatch_raises(monkeypatch):
 def test_count_mismatch_raises_before_the_budget(monkeypatch):
     # 5016 positions pass a budget of 5010 only because the prediction is
     # 16 short, and the owned count catches it
-    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (5000,))
+    monkeypatch.setattr(oracle, "class_sizes", lambda g: (5000,))
     with pytest.raises(SolverConsistencyError, match="5016.*5000"):
         brute_nim(make_symmetric(4), budget=5010)
 
 
 def test_position_count_mismatch_raises(monkeypatch):
-    # {e} in Z8 lies below 8 positions: the subsets of its maximal of order 4
+    # Z8 has 16 positions: the subsets of its maximal of order 4
     z8 = make_cyclic(8)
-    monkeypatch.setattr(oracle, "class_sizes", lambda g, base: (7,))
+    monkeypatch.setattr(oracle, "class_sizes", lambda g: (15,))
     monkeypatch.setattr(oracle.np, "zeros", _refuse)  # the stacks
     monkeypatch.setattr(oracle, "_by_level", _refuse)
-    with pytest.raises(SolverConsistencyError, match="8.*7"):
-        brute_nim_position(z8, 1)
+    with pytest.raises(SolverConsistencyError, match="16.*15"):
+        brute_nim_table(z8)
 
 
 def test_cell_cap_skips_before_allocating(monkeypatch):
@@ -230,17 +223,18 @@ def test_level_order_only_for_stacks(monkeypatch, spec):
 
 def test_position_empty_equals_game():
     g = build(parse_spec("Z6 x Z2"))
-    assert brute_nim_position(g, 0) == brute_nim(g).nim
+    assert brute_nim_table(g)[0] == brute_nim(g).nim
 
 
 def test_position_identity_in_s3():
-    assert brute_nim_position(make_symmetric(3), 1) == 2
+    assert brute_nim_table(make_symmetric(3))[1] == 2
 
 
 def test_full_odd_maximal_is_terminal():
     z15 = make_cyclic(15)
+    table = brute_nim_table(z15)
     for m in maximal_subgroups(z15):
-        assert brute_nim_position(z15, m.mask) == 0
+        assert table[m.mask] == 0
 
 
 def test_position_skips_before_a_deep_search(monkeypatch):
@@ -249,24 +243,14 @@ def test_position_skips_before_a_deep_search(monkeypatch):
     _refuse_arrays(monkeypatch)
     monkeypatch.setattr(oracle, "class_sizes", _refuse)
     with pytest.raises(OracleBudgetError, match=r"at least 2\^1001 positions"):
-        brute_nim_position(z2002, 0, budget=5000)
+        brute_nim_table(z2002, budget=5000)
 
 
 def test_position_budget_counts_positions_below():
-    z8 = make_cyclic(8)  # one maximal subgroup, of order 4
-    assert brute_nim_position(z8, 1, budget=8) == 1  # {e}: three moves left
-    with pytest.raises(OracleBudgetError):
-        brute_nim_position(z8, 1, budget=7)
     s3 = make_symmetric(3)  # 2^3 cells fit in 13, but the 14 positions do not
-    assert brute_nim_position(s3, 0, budget=14) == 3
+    assert brute_nim(s3, budget=14).nim == 3
     with pytest.raises(OracleBudgetError, match="14 positions"):
-        brute_nim_position(s3, 0, budget=13)
-
-
-def test_position_rejects_generating_set():
-    z6 = make_cyclic(6)
-    with pytest.raises(GeneratingSetError):
-        brute_nim_position(z6, 1 << 1)
+        brute_nim(s3, budget=13)
 
 
 def test_all_positions_are_subsets_of_maximals():

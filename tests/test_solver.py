@@ -136,6 +136,13 @@ def test_mixed_options_give_star3():
     assert d.types[0] == TypeTriple(1, 3, 2)
 
 
+def test_type_outside_the_spectrum_raises():
+    # an even node whose only option is a terminal odd node solves to
+    # (0,1,0); no group has it, as a subgroup of an odd maximal is odd
+    with pytest.raises(SolverConsistencyError, match=r"\(0,1,0\)"):
+        solve_types(_manual([2, 3], [(0, 1)]))
+
+
 def test_game_nim_examples():
     assert game_nim(make_symmetric(3)) == 3
     assert game_nim(make_cyclic(4)) == 0
