@@ -53,6 +53,7 @@ from .solver import (
     simplify,
     solve_types,
     structure_digraph,
+    type_multiset,
 )
 
 __version__ = "0.1.0"
@@ -104,4 +105,5 @@ __all__ = [
     "smallest_intersection_containing",
     "solve_types",
     "structure_digraph",
+    "type_multiset",
 ]

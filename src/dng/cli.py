@@ -56,13 +56,7 @@ def analyze_group(
     classifier = classify(g).to_json_dict()
     solver = oracle = None
     if not fast:
-        d = solver_mod.solve_types(solver_mod.structure_digraph(g))
-        solver = {
-            "nim": d.types[d.source].nim_even,
-            "nodes": len(d.nodes),
-            "edges": sum(map(len, d.successors)),
-            "types": solver_mod.type_multiset(d),
-        }
+        solver = solver_mod.solve(g)
     if not no_oracle:
         try:
             res = oracle_mod.brute_nim(g, oracle_budget)

@@ -46,9 +46,11 @@ bits is the union of its moves' incidences, so its subgroup is the AND of
 theirs: for each maximal Mi in I, the intersection of I's maximals is a
 proper subgroup of Mi (distinct maximal subgroups do not contain each
 other), and for y in Mi outside it the move to the incidence of I with y
-added keeps bit i.  The members and the moves go to the solver as sorted
-successor lists.  The whole subgroup lattice is sorted only when read
-(``all_subgroups``, for ``lattice_dot``).
+added keeps bit i.  The solver reads the members and their moves keyed by
+incidence, in ascending popcount (``incidence_poset``); they are numbered by
+(order, mask) only when read as a list (``intersection_subgroups``, for the
+structure diagram and the class sizes).  The whole subgroup lattice is
+sorted only when read (``all_subgroups``, for ``lattice_dot``).
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -91,7 +93,8 @@ class Subgroup:
 
 @dataclass
 class IntersectionPoset:
-    """All intersections of nonempty sets of maximal subgroups.
+    """All intersections of nonempty sets of maximal subgroups, numbered by
+    (order, mask): ``IncidencePoset.numbered``.
 
     ``successors[i]`` lists, ascending, each j such that adding one element
     to a set whose smallest enclosing intersection is ``members[i]`` makes
@@ -101,6 +104,35 @@ class IntersectionPoset:
 
     members: tuple[Subgroup, ...]  # sorted by (order, mask); the first is Frattini
     successors: tuple[tuple[int, ...], ...]
+
+
+@dataclass
+class IncidencePoset:
+    """All intersections of nonempty sets of maximal subgroups, keyed by
+    incidence over the maximal subgroups.
+
+    ``masks`` maps each member's incidence to its subgroup, in ascending
+    incidence popcount.  ``moves`` maps it to the incidences its moves reach
+    (those of ``IntersectionPoset.successors``).  A move adds bits to the
+    subgroup and drops them from the incidence, so every member comes after
+    its moves in ``masks``: a reverse topological order.  The empty set's
+    incidence, all ones, names the Frattini subgroup.
+    """
+
+    masks: dict[int, int]
+    moves: dict[int, tuple[int, ...]]
+
+    def numbered(self) -> IntersectionPoset:
+        """The members sorted by (order, mask), with successor lists."""
+        masks = self.masks
+        order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
+        at = {inc: i for i, inc in enumerate(order)}
+        return IntersectionPoset(
+            members=tuple(Subgroup(masks[inc]) for inc in order),
+            successors=tuple(
+                tuple(sorted(map(at.__getitem__, self.moves[inc]))) for inc in order
+            ),
+        )
 
 
 def per_group(fn):
@@ -414,7 +446,7 @@ def _masks(index: Incidence, moves: dict[int, tuple[int, ...]]) -> dict[int, int
     A one-bit incidence names its maximal subgroup, and a wider one is the
     union of its moves' incidences (see the module docstring), so its
     subgroup is the AND of theirs.  Moves drop bits, so ascending popcount
-    reaches every move's subgroup first.
+    reaches every move's subgroup first; the dict keeps that order.
     """
     masks: dict[int, int] = {}
     for inc in sorted(moves, key=int.bit_count):
@@ -429,9 +461,9 @@ def _masks(index: Incidence, moves: dict[int, tuple[int, ...]]) -> dict[int, int
 
 
 @per_group
-def intersection_subgroups(g: Group) -> IntersectionPoset:
-    """All intersections of nonempty sets of maximal subgroups, and each
-    one's successors.
+def incidence_poset(g: Group) -> IncidencePoset:
+    """All intersections of nonempty sets of maximal subgroups and their
+    moves, keyed by incidence.
 
     An intersection is named by its incidence (``_walk``) and its subgroup is
     read off its moves (``_masks``).  Two incidences that meet in one
@@ -445,14 +477,14 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
             f"{len(masks)} walked incidences of {g.name} meet in "
             f"{len(set(masks.values()))} intersection subgroups"
         )
-    order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
-    at = {inc: i for i, inc in enumerate(order)}
-    return IntersectionPoset(
-        members=tuple(Subgroup(masks[inc]) for inc in order),
-        successors=tuple(
-            tuple(sorted(map(at.__getitem__, moves[inc]))) for inc in order
-        ),
-    )
+    return IncidencePoset(masks=masks, moves=moves)
+
+
+@per_group
+def intersection_subgroups(g: Group) -> IntersectionPoset:
+    """All intersections of nonempty sets of maximal subgroups, sorted by
+    (order, mask), and each one's successors."""
+    return incidence_poset(g).numbered()
 
 
 def class_sizes(g: Group) -> tuple[int, ...]:

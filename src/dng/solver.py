@@ -16,9 +16,13 @@ positions).  Types are solved bottom-up:
 type ``t``.  A solved type outside the paper's four-type spectrum
 (``SPECTRUM``) raises SolverConsistencyError.
 
-The nodes are the intersection poset and each node's successors its moves
-(``lattice.intersection_subgroups``), found in one walk over incidences and
-kept as one ascending successor tuple per node.  Types are solved through a
+The nodes are the intersection poset and each node's successors its moves,
+found in one walk over incidences.  ``solve`` (for ``analyze``, ``verify``
+and ``game_nim``) reads them keyed by incidence
+(``lattice.incidence_poset``), in ascending incidence popcount, which is a
+reverse topological order.  Only the structure diagram numbers the nodes by
+(order, mask), with one ascending successor tuple per node
+(``structure_digraph``, ``solve_types``).  Both solve the types through one
 memo on option sets: each type gets a one-hot id, a node's options are the
 OR of its successors' ids, and each distinct (parity, options) pair is
 solved once.
@@ -33,7 +37,12 @@ from typing import Union
 
 from .errors import SolverConsistencyError, TrivialGroupError
 from .groups import Group, bits
-from .lattice import Subgroup, intersection_subgroups
+from .lattice import (
+    Subgroup,
+    incidence_poset,
+    intersection_subgroups,
+    maximal_incidence,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -62,10 +71,12 @@ SPECTRUM = frozenset(
 class StructureDigraph:
     """Intersection subgroups with class-option edges; source is the Frattini node.
 
-    Nodes are sorted ascending by (order, mask), so node 0 is the Frattini
-    subgroup.  ``successors[i]`` lists node i's option nodes, ascending; each
-    edge (i, j) strictly increases the subgroup, hence the digraph is acyclic
-    and the source has no incoming edges.
+    The numbered form of the poset that ``solve`` reads keyed by incidence,
+    for the structure diagram and the library API.  Nodes are sorted
+    ascending by (order, mask), so node 0 is the Frattini subgroup.
+    ``successors[i]`` lists node i's option nodes, ascending; each edge
+    (i, j) strictly increases the subgroup, hence the digraph is acyclic and
+    the source has no incoming edges.
     """
 
     nodes: tuple[Subgroup, ...]
@@ -118,30 +129,26 @@ def structure_digraph(g: Group) -> StructureDigraph:
     return StructureDigraph(nodes=poset.members, successors=poset.successors)
 
 
-def solve_types(d: StructureDigraph) -> StructureDigraph:
-    """Solve all type triples in reverse topological order.
+def _type_ids(order, masks, successors) -> tuple[dict, list[TypeTriple]]:
+    """Each node's one-hot type id, and the types: id 1 << b is ``kinds[b]``.
 
-    Successors are later nodes (nodes are sorted by order and every edge
-    strictly enlarges the subgroup), so descending index is a reverse
-    topological order; a successor at or before its node is a ValueError.
-    Each solved node gets the one-hot id of its type, the OR of its
-    successors' ids is its option set, and each distinct (parity, option
-    set) is solved once.  A type outside ``SPECTRUM`` raises
-    SolverConsistencyError.
+    Nodes are visited in ``order``, a reverse topological order: node v's
+    subgroup is ``masks[v]`` and its option nodes ``successors[v]``, all
+    visited before v.  The OR of their ids is v's option set, and each
+    distinct (parity, option set) is solved once.  A type outside
+    ``SPECTRUM`` raises SolverConsistencyError.
     """
-    n = len(d.nodes)
-    kinds: list[TypeTriple] = []  # the type whose id is 1 << b is kinds[b]
-    solved: dict[tuple[int, int], int] = {}  # (parity, options) -> id
-    ids = [0] * n
-    for i in range(n - 1, -1, -1):
-        out = d.successors[i]
-        if out and min(out) <= i:
-            raise ValueError(f"edge ({i}, {min(out)}) does not point to a later node")
+    kinds: list[TypeTriple] = []
+    solved: dict[int, int] = {}  # options << 1 | parity -> id
+    ids = {}
+    for v in order:
         options = 0
-        for j in out:
+        for j in successors[v]:
             options |= ids[j]
-        p = d.nodes[i].order % 2
-        if (p, options) not in solved:
+        size = masks[v].bit_count()
+        p = size & 1
+        key = options << 1 | p
+        if key not in solved:
             opts = {kinds[b] for b in bits(options)}
             nim_same = mex({t.component(1 - p) for t in opts})
             nim_other = mex({nim_same} | {t.component(p) for t in opts})
@@ -151,21 +158,61 @@ def solve_types(d: StructureDigraph) -> StructureDigraph:
                 t = TypeTriple(0, nim_same, nim_other)
             if t not in SPECTRUM:
                 raise SolverConsistencyError(
-                    f"node of order {d.nodes[i].order}: options "
+                    f"node of order {size}: options "
                     f"{sorted(map(str, opts))} give the type {t}, outside "
                     "the four-type spectrum"
                 )
             if t not in kinds:
                 kinds.append(t)
-            solved[p, options] = 1 << kinds.index(t)
-        ids[i] = solved[p, options]
-    return replace(d, types=tuple(kinds[k.bit_length() - 1] for k in ids))
+            solved[key] = 1 << kinds.index(t)
+        ids[v] = solved[key]
+    return ids, kinds
+
+
+def solve_types(d: StructureDigraph) -> StructureDigraph:
+    """Solve all type triples in reverse topological order.
+
+    Successors are later nodes (nodes are sorted by order and every edge
+    strictly enlarges the subgroup), so descending index is a reverse
+    topological order; a successor at or before its node is a ValueError.
+    Types are solved by ``_type_ids``, as in ``solve``.
+    """
+    n = len(d.nodes)
+    descending = range(n - 1, -1, -1)
+    for i in descending:
+        out = d.successors[i]
+        if out and min(out) <= i:
+            raise ValueError(f"edge ({i}, {min(out)}) does not point to a later node")
+    ids, kinds = _type_ids(descending, [s.mask for s in d.nodes], d.successors)
+    return replace(d, types=tuple(kinds[ids[i].bit_length() - 1] for i in range(n)))
+
+
+def solve(g: Group) -> dict:
+    """The solver's part of the ``dng-analysis-v1`` document: the game's
+    nim-number, the node and edge counts and the type multiset.
+
+    The types are solved over the poset keyed by incidence
+    (``lattice.incidence_poset``), whose order is a reverse topological one.
+    The answer is the type of the empty set's incidence, the Frattini node.
+    """
+    if g.order < 2:
+        raise TrivialGroupError("no avoidance game for the trivial group")
+    poset = incidence_poset(g)
+    ids, kinds = _type_ids(poset.masks, poset.masks, poset.moves)
+    counts = Counter(ids.values())
+    return {
+        "nim": kinds[ids[maximal_incidence(g).everything].bit_length() - 1].nim_even,
+        "nodes": len(ids),
+        "edges": sum(map(len, poset.moves.values())),
+        "types": dict(
+            sorted((str(kinds[k.bit_length() - 1]), c) for k, c in counts.items())
+        ),
+    }
 
 
 def game_nim(g: Group) -> int:
     """Nim-number of the game: nim of even positions at the Frattini node."""
-    d = solve_types(structure_digraph(g))
-    return d.types[d.source].nim_even
+    return solve(g)["nim"]
 
 
 def simplify(d: StructureDigraph) -> SimplifiedDiagram:

@@ -215,6 +215,30 @@ def test_only_diagram_lattice_sorts_the_whole_lattice(monkeypatch, capsys, argv)
         assert length <= len(lattice.maximal_subgroups(g)), g.name
 
 
+@pytest.mark.parametrize(
+    "argv, numbers",
+    [
+        (["analyze", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "--json", "--no-oracle"], False),
+        (["verify", "--max-order", "24", "--no-oracle"], False),
+        (["diagram", "A4 x A4"], True),
+        (["diagram", "A4 x A4", "--simplified"], True),
+    ],
+    ids=["analyze", "verify", "diagram", "diagram-simplified"],
+)
+def test_only_diagram_numbers_the_poset(monkeypatch, capsys, argv, numbers):
+    """analyze and verify solve the poset keyed by incidence; only the
+    structure diagrams number it by (order, mask)."""
+    calls = []
+    numbered = lattice.IncidencePoset.numbered
+    monkeypatch.setattr(
+        lattice.IncidencePoset,
+        "numbered",
+        lambda poset: calls.append(len(poset.masks)) or numbered(poset),
+    )
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == ([98] if numbers else [])  # A4 x A4 has 98 poset members
+
+
 def test_diagram_simplified_quotient_invariance(capsys):
     _, a, _ = run_cli(capsys, "diagram", "Z18 x Z2", "--simplified")
     _, b, _ = run_cli(capsys, "diagram", "Z6 x Z2", "--simplified")
@@ -405,7 +429,7 @@ def test_failed_cross_check_exit_4(capsys, monkeypatch, argv):
     def inconsistent(g):
         raise SolverConsistencyError("the type triples disagree")
 
-    monkeypatch.setattr(solver, "structure_digraph", inconsistent)
+    monkeypatch.setattr(solver, "solve", inconsistent)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     # verify has written its header before the first group fails

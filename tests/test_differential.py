@@ -39,14 +39,14 @@ from _helpers import (
     reference_structure_digraph,
     reference_subgroup_masks,
 )
-from dng import oracle
+from dng import lattice, oracle
 from dng.catalog import catalog_specs
 from dng.classify import (
     barnes_first_player_wins,
     is_nilpotent,
     real_element_disjunction,
 )
-from dng.errors import GeneratingSetError
+from dng.errors import GeneratingSetError, SolverConsistencyError
 from dng.groups import (
     _perm_parity,
     bits,
@@ -79,7 +79,7 @@ from dng.lattice import (
     smallest_intersection_containing,
 )
 from dng.oracle import brute_nim, brute_nim_table
-from dng.solver import solve_types, structure_digraph
+from dng.solver import solve, solve_types, structure_digraph, type_multiset
 
 SPECS = catalog_specs(36) + ["Z2 x Z2 x Z2 x Z2 x Z2", "S5"]
 
@@ -119,6 +119,43 @@ def test_structure_solver_matches_reference(spec, built):
     assert d.edges == ref.edges
     assert all(type(i) is int and type(j) is int for i, j in d.edges)
     assert solve_types(d).types == reference_solve_types(ref).types
+
+
+@pytest.mark.parametrize("spec", SOLVER_SPECS)
+def test_keyed_solve_matches_reference(spec, built):
+    g = built(spec)
+    ref = solve_types(reference_structure_digraph(g))
+    assert solve(g) == {
+        "nim": ref.types[ref.source].nim_even,
+        "nodes": len(ref.nodes),
+        "edges": len(ref.edges),
+        "types": type_multiset(ref),
+    }
+
+
+def test_keyed_solve_raises_outside_the_spectrum(monkeypatch):
+    # Z15's Frattini node, trivial, has the odd maximals Z3 and Z5 as its
+    # options; read as even it solves to (0,1,0)
+    def even_frattini(index, moves):
+        masks = _masks(index, moves)
+        masks[index.everything] |= 1 << 1
+        return masks
+
+    monkeypatch.setattr(lattice, "_masks", even_frattini)
+    with pytest.raises(SolverConsistencyError, match=r"\(0,1,0\)"):
+        solve(build(parse_spec("Z15")))
+
+
+def test_keyed_solve_raises_on_incidences_meeting_in_one_subgroup(monkeypatch):
+    def merged(index, moves):
+        masks = _masks(index, moves)
+        a, b = list(masks)[:2]
+        masks[b] = masks[a]
+        return masks
+
+    monkeypatch.setattr(lattice, "_masks", merged)
+    with pytest.raises(SolverConsistencyError, match="meet in"):
+        solve(build(parse_spec("S4")))
 
 
 #: The six groups of the ``ladder`` benchmark, then three more large posets.
