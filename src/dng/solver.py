@@ -202,7 +202,7 @@ def solve(g: Group) -> dict:
     counts = Counter(ids.values())
     return {
         "nim": kinds[ids[maximal_incidence(g).everything].bit_length() - 1].nim_even,
-        "nodes": len(ids),
+        "nodes": len(poset.masks),
         "edges": sum(map(len, poset.moves.values())),
         "types": dict(
             sorted((str(kinds[k.bit_length() - 1]), c) for k, c in counts.items())
