@@ -15,7 +15,7 @@ The output gives, per workload and end-to-end metric, each side's median and
 quartiles, the head's wins out of the pairs (ties count for neither side)
 and whether the medians differ by more than the base's interquartile range.
 Each side's traced layer metrics are recorded as they came.  Metric
-directions are read from ``BENCHMARK.json``.
+directions and the workloads are read from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
-WORKLOADS = ("survey", "ladder", "oracle")
 
 #: What the traced layers of ``perfbench/harness.py`` time that the CLI does not.
 TRACE_NOTES = {
@@ -77,7 +76,7 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
         "better": better,
         "base": b,
         "head": h,
-        "change": gap / b["median"] if b["median"] else None,
+        "change": gap / b["median"],
         "wins": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
         "losses": sum(sign * (y - x) < 0 for x, y in zip(base, head)),
         "pairs": len(base),
@@ -142,18 +141,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="the parent commit")
     ap.add_argument("head", help="the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0, help="run.py --seconds")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+    ap.add_argument("--workload", action="append", choices=workloads,
                     help="repeatable; every workload by default")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
 
     (base_sha, base_tree), (head_sha, head_tree) = checkout(args.base), checkout(args.head)
-    better = directions(json.loads((head_tree / "BENCHMARK.json").read_text()))
+    better = directions(benchmark)
     seeds = list(range(1, args.pairs + 1))
     report = {
         "format": "dng-bench-pairs-v1",
@@ -165,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace_notes": TRACE_NOTES,
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or workloads:
         pairs, env = [], None
         for seed in seeds:
             order = [base_tree, head_tree] if seed % 2 == 0 else [head_tree, base_tree]
