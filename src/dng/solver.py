@@ -204,8 +204,8 @@ def solve(g: Group) -> dict:
         "nim": kinds[ids[maximal_incidence(g).everything].bit_length() - 1].nim_even,
         "nodes": len(poset.masks),
         "edges": sum(map(len, poset.moves.values())),
-        "types": dict(
-            sorted((str(kinds[k.bit_length() - 1]), c) for k, c in counts.items())
+        "types": _printed(
+            {kinds[k.bit_length() - 1]: c for k, c in counts.items()}
         ),
     }
 
@@ -275,4 +275,10 @@ def type_multiset(d: StructureDigraph) -> dict[str, int]:
         raise ValueError("type_multiset needs a solved digraph")
     # count the field tuples, then print the few distinct ones
     counts = Counter(map(attrgetter("parity", "nim_even", "nim_odd"), d.types))
-    return dict(sorted((str(TypeTriple(*t)), c) for t, c in counts.items()))
+    return _printed({TypeTriple(*t): c for t, c in counts.items()})
+
+
+def _printed(counts: dict[TypeTriple, int]) -> dict[str, int]:
+    """Counts of solved types keyed by the printed triple, in sorted order:
+    the type multiset of ``solve`` and ``type_multiset``."""
+    return dict(sorted((str(t), c) for t, c in counts.items()))

@@ -1,21 +1,22 @@
 """Paired benchmark runs of two commits, summarised into ``BENCH_<sha>.json``.
 
-    python3 tools/bench_pairs.py BASE HEAD [--pairs 10] [--seconds 10]
-        [--workload ladder --workload survey ...] [--out-dir .]
+    python3 tools/bench_pairs.py BASE HEAD
 
 Each commit is exported with ``git archive`` into ``.bench_build/<sha>`` and
 compiled there with ``python3 -m compileall -q src perfbench``, with
 PYTHONDONTWRITEBYTECODE unset, so that no run pays for bytecode that another
-left stale.  For each workload, pair i runs the unmodified
+left stale.  For each workload, pair i of ``PAIRS`` runs the unmodified
 ``perfbench/run.py --workload W --seed i --trace 0`` once on each side, the
 base first in even pairs and the head first in odd ones.  Then each side
-makes one ``--trace 1`` run for the per-layer metrics.
+makes one ``--trace 1`` run for the per-layer metrics.  Every run lasts the
+benchmark's ``run_seconds``.
 
 The output gives, per workload and end-to-end metric, each side's median and
 quartiles, the head's wins out of the pairs (ties count for neither side)
 and whether the medians differ by more than the base's interquartile range.
-Each side's traced layer metrics are recorded as they came.  Metric
-directions and the workloads are read from ``BENCHMARK.json``.
+Each side's traced layer metrics are recorded as they came.  The run
+length, the workloads and the metric directions are read from
+``BENCHMARK.json``; the report is written at the root of the repository.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+PAIRS = 10
 
 #: What the traced layers of ``perfbench/harness.py`` time that the CLI does not.
 TRACE_NOTES = {
@@ -142,37 +144,32 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="the parent commit")
     ap.add_argument("head", help="the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10.0, help="run.py --seconds")
-    ap.add_argument("--workload", action="append", choices=workloads,
-                    help="repeatable; every workload by default")
-    ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
 
     (base_sha, base_tree), (head_sha, head_tree) = checkout(args.base), checkout(args.head)
     better = directions(benchmark)
-    seeds = list(range(1, args.pairs + 1))
+    seeds = list(range(1, PAIRS + 1))
     report = {
         "format": "dng-bench-pairs-v1",
         "base": base_sha,
         "head": head_sha,
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "seeds": seeds,
         "trace_notes": TRACE_NOTES,
         "workloads": {},
     }
-    for workload in args.workload or workloads:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         pairs, env = [], None
         for seed in seeds:
             order = [base_tree, head_tree] if seed % 2 == 0 else [head_tree, base_tree]
             result = {}
             for tree in order:
-                detail, result[tree] = run_once(tree, workload, seed, args.seconds, 0)
+                detail, result[tree] = run_once(tree, workload, seed, seconds, 0)
                 env = detail["env"]
                 print(f"{workload} seed {seed} {tree.name[:7]}: "
                       f"wall_s {result[tree]['metrics']['wall_s']['value']:.4f}",
@@ -182,13 +179,13 @@ def main(argv: list[str] | None = None) -> int:
         summary["env"] = env
         summary["traced"] = {}
         for side, tree in (("base", base_tree), ("head", head_tree)):
-            _, traced = run_once(tree, workload, 1, args.seconds, 1)
+            _, traced = run_once(tree, workload, 1, seconds, 1)
             summary["traced"][side] = {
                 "correct": traced["correct"],
                 **{k: m["value"] for k, m in traced["metrics"].items()},
             }
         report["workloads"][workload] = summary
-    out = args.out_dir / f"BENCH_{head_sha[:7]}.json"
+    out = ROOT / f"BENCH_{head_sha[:7]}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
     return 0
