@@ -28,7 +28,7 @@ class LatticeGuardError(DngError):
 
 
 class GeneratorCapError(DngError):
-    """min_generators exhausted its tuple-size cap without generating."""
+    """min_generators found d(G) above its cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"no generating tuple of size <= {cap} found")

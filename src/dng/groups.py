@@ -8,8 +8,8 @@ the package.
 The order of every element and the cyclic subgroup it generates are read off
 one walk per cyclic subgroup, which multiplies its least generator in until
 the identity.  ``closure_mask`` and ``join_element`` generate subgroups by
-coset walks; ``min_generators`` instead asks which maximal subgroups contain
-a set (``lattice``).
+coset walks; ``min_generators`` instead reads d(G) off the breadth-first
+walk over which maximal subgroups contain each set (``lattice``).
 """
 
 from __future__ import annotations
@@ -295,15 +295,13 @@ def direct_product(g: Group, h: Group, budget: int = ORDER_BUDGET) -> Group:
     return Group.from_table(t, f"{g.name} x {h.name}", check_associativity=False)
 
 
-def _subgroup_mask(arg) -> int:
-    mask = getattr(arg, "mask", arg)
+def _membership(g: Group, sub) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in a Subgroup or int bitmask, ascending, and one flag per element."""
+    mask = getattr(sub, "mask", sub)
     if not isinstance(mask, int):
         raise TypeError("expected a Subgroup or an int bitmask")
-    return mask
-
-
-def _membership(g: Group, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """The element ids set in ``mask``, ascending, and one flag per element."""
+    if mask < 0 or mask >> g.order:
+        raise ValueError(f"the mask has bits outside the elements of {g.name}")
     raw = np.frombuffer(mask.to_bytes(-(-g.order // 8), "little"), dtype=np.uint8)
     inside = np.unpackbits(raw, count=g.order, bitorder="little").view(bool)
     return np.flatnonzero(inside), inside
@@ -311,7 +309,7 @@ def _membership(g: Group, mask: int) -> tuple[np.ndarray, np.ndarray]:
 
 def is_normal(g: Group, sub) -> bool:
     """True iff x*N*x^-1 = N for every x in g."""
-    members, inside = _membership(g, _subgroup_mask(sub))
+    members, inside = _membership(g, sub)
     # row x holds x*m*x^-1 for each member m
     return bool(inside[g.table[g.table[:, members], g.inverses[:, None]]].all())
 
@@ -322,25 +320,24 @@ def coset_ids(g: Group, sub) -> np.ndarray:
     Cosets are numbered by their least elements, ascending; row x of
     ``table[:, members]`` is the coset xN.
     """
-    members, _ = _membership(g, _subgroup_mask(sub))
+    members, _ = _membership(g, sub)
     least = g.table[:, members].min(axis=1)
     return np.unique(least, return_inverse=True)[1]
 
 
 def quotient(g: Group, sub) -> Group:
     """Quotient group on cosets of a normal subgroup."""
-    mask = _subgroup_mask(sub)
-    members, inside = _membership(g, mask)
+    members, inside = _membership(g, sub)
     # a finite set that holds the identity and its products is a subgroup
     if not inside[0] or not inside[g.table[np.ix_(members, members)]].all():
         raise ValueError("quotient divisor is not a subgroup")
-    if not is_normal(g, mask):
+    if not is_normal(g, sub):
         raise NotNormalError("quotient divisor is not normal")
-    cos = coset_ids(g, mask)
+    cos = coset_ids(g, sub)
     # the least element of each coset, in coset order
     reps = np.unique(cos, return_index=True)[1]
     t = cos[g.table[reps][:, reps]]
-    return Group.from_table(t, f"{g.name}/N{mask.bit_count()}", check_associativity=True)
+    return Group.from_table(t, f"{g.name}/N{len(members)}", check_associativity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +414,16 @@ def is_cyclic(g: Group) -> bool:
 def min_generators(g: Group, cap: int = 3) -> int:
     """Least k <= cap such that some k-subset generates g.
 
-    A set generates g iff no maximal subgroup contains it, that is iff the
-    AND of its elements' maximal incidences is 0.  The distinct k-fold ANDs
-    are grown one element at a time until one of them is 0.  Raises
-    GeneratorCapError when no set of size ``cap`` generates, which is
-    distinguishable from any returned value.
+    d(G) is read off the breadth-first walk over maximal incidences that
+    builds the intersection poset (``lattice.incidence_poset``).  Raises
+    GeneratorCapError when d(G) > ``cap``, which is distinguishable from any
+    returned value.
     """
-    from .lattice import maximal_incidence  # lattice imports this module
+    from .lattice import incidence_poset  # lattice imports this module
 
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if g.order == 1:
-        return 0
-    index = maximal_incidence(g)
-    elements = set(index.elements)
-    level = {index.everything}
-    for k in range(1, cap + 1):
-        level = {inc & e for inc in level for e in elements}
-        if 0 in level:
-            return k
-    raise GeneratorCapError(cap)
+    d = 0 if g.order == 1 else incidence_poset(g).d
+    if d > cap:
+        raise GeneratorCapError(cap)
+    return d

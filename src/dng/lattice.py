@@ -39,18 +39,18 @@ all subgroups, whose incidences are their containers in the lattice
 their overgroups (``class_sizes``).  The intersection poset and the moves
 between its members are found in one walk over maximal incidences, from the
 empty set's: adding an element to a set ANDs in the element's incidence.
-Each member's subgroup is then read off its moves, in ascending incidence
-popcount, with no AND over the maximal subgroups it names.  A one-bit
-incidence names its maximal subgroup.  A walked incidence I of two or more
-bits is the union of its moves' incidences, so its subgroup is the AND of
-theirs: for each maximal Mi in I, the intersection of I's maximals is a
-proper subgroup of Mi (distinct maximal subgroups do not contain each
+The walk is breadth first, so it also gives d(G), the fewest elements that
+generate g.  Each member's subgroup is then read off its moves, in ascending
+incidence popcount, with no AND over the maximal subgroups it names.  A
+one-bit incidence names its maximal subgroup.  A walked incidence I of two
+or more bits is the union of its moves' incidences, so its subgroup is the
+AND of theirs: for each maximal Mi in I, the intersection of I's maximals is
+a proper subgroup of Mi (distinct maximal subgroups do not contain each
 other), and for y in Mi outside it the move to the incidence of I with y
-added keeps bit i.  The solver reads the members and their moves keyed by
-incidence, in ascending popcount (``incidence_poset``); they are numbered by
-(order, mask) only when read as a list (``intersection_subgroups``, for the
-structure diagram and the class sizes).  The whole subgroup lattice is
-sorted only when read (``all_subgroups``, for ``lattice_dot``).
+added keeps bit i.  The solver, the class sizes and ``min_generators`` read
+the poset keyed by incidence (``incidence_poset``); only the structure
+diagram numbers it by (order, mask) (``intersection_subgroups``).  The whole
+lattice is sorted only when read (``all_subgroups``, for ``lattice_dot``).
 
 Results that depend only on the group are computed once per group: the
 ``per_group`` decorator stores each in ``Group.derived`` under its function.
@@ -94,7 +94,7 @@ class Subgroup:
 @dataclass
 class IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups, numbered by
-    (order, mask): ``IncidencePoset.numbered``.
+    (order, mask): ``intersection_subgroups``.
 
     ``successors[i]`` lists, ascending, each j such that adding one element
     to a set whose smallest enclosing intersection is ``members[i]`` makes
@@ -116,23 +116,13 @@ class IncidencePoset:
     (those of ``IntersectionPoset.successors``).  A move adds bits to the
     subgroup and drops them from the incidence, so every member comes after
     its moves in ``masks``: a reverse topological order.  The empty set's
-    incidence, all ones, names the Frattini subgroup.
+    incidence, all ones, names the Frattini subgroup.  ``d`` is d(G), read
+    off the walk's breadth-first order (``_walk``).
     """
 
     masks: dict[int, int]
     moves: dict[int, tuple[int, ...]]
-
-    def numbered(self) -> IntersectionPoset:
-        """The members sorted by (order, mask), with successor lists."""
-        masks = self.masks
-        order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
-        at = {inc: i for i, inc in enumerate(order)}
-        return IntersectionPoset(
-            members=tuple(Subgroup(masks[inc]) for inc in order),
-            successors=tuple(
-                tuple(sorted(map(at.__getitem__, self.moves[inc]))) for inc in order
-            ),
-        )
+    d: int
 
 
 def per_group(fn):
@@ -412,8 +402,8 @@ def frattini(g: Group) -> Subgroup:
     return Subgroup(inter)
 
 
-def _walk(index: Incidence) -> dict[int, tuple[int, ...]]:
-    """Each intersection's incidence, with the incidences its moves reach.
+def _walk(index: Incidence) -> tuple[dict[int, tuple[int, ...]], int]:
+    """Each intersection's incidence, with its moves' incidences, and d(G).
 
     The walk starts from the empty set's incidence, which names the Frattini
     subgroup.  A member's moves are the distinct ANDs of its incidence with
@@ -421,23 +411,28 @@ def _walk(index: Incidence) -> dict[int, tuple[int, ...]]:
     element was in it already).  Each member is reached by adding its
     elements one at a time, so the walk finds them all.  When T is reached
     from I, T & y = T & (I & y) for every element y, so T is ANDed only with
-    I's moves.
+    I's moves.  The walk is breadth first, so d(G) is one more than the least
+    depth of a T with some T & y = 0.  The parent I of that T is shallower,
+    so I & y is not 0, nor I (else T & y = T): it is a move of I, so T sees 0.
     """
     top = index.everything
     moves: dict[int, tuple[int, ...]] = {}
     seen = {top}
-    # each member, with the moves of the member it was first reached from
-    walk = [(top, index.elements)]
-    for inc, near in walk:  # grows while it is walked
+    d = 0
+    # each member, its parent's moves and one more than its depth
+    walk = [(top, index.elements, 1)]
+    for inc, near, k in walk:  # grows while it is walked
         out = {inc & s for s in near}
+        if not d and 0 in out:
+            d = k
         out.discard(0)
         out.discard(inc)
         moves[inc] = out = tuple(out)
         for t in out:
             if t not in seen:
                 seen.add(t)
-                walk.append((t, out))
-    return moves
+                walk.append((t, out, k + 1))
+    return moves, d
 
 
 def _masks(index: Incidence, moves: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -465,43 +460,52 @@ def incidence_poset(g: Group) -> IncidencePoset:
     """All intersections of nonempty sets of maximal subgroups and their
     moves, keyed by incidence.
 
-    An intersection is named by its incidence (``_walk``) and its subgroup is
-    read off its moves (``_masks``).  Two incidences that meet in one
-    subgroup would mean one is not closed: SolverConsistencyError.
+    An intersection is named by its incidence (``_walk``, with d(G)) and its
+    subgroup is read off its moves (``_masks``).  Two incidences that meet in
+    one subgroup would mean one is not closed: SolverConsistencyError.
     """
     index = maximal_incidence(g)
-    moves = _walk(index)
+    moves, d = _walk(index)
     masks = _masks(index, moves)
     if len(set(masks.values())) < len(masks):
         raise SolverConsistencyError(
             f"{len(masks)} walked incidences of {g.name} meet in "
             f"{len(set(masks.values()))} intersection subgroups"
         )
-    return IncidencePoset(masks=masks, moves=moves)
+    return IncidencePoset(masks=masks, moves=moves, d=d)
 
 
 @per_group
 def intersection_subgroups(g: Group) -> IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups, sorted by
     (order, mask), and each one's successors."""
-    return incidence_poset(g).numbered()
+    poset = incidence_poset(g)
+    masks = poset.masks
+    order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
+    at = {inc: i for i, inc in enumerate(order)}
+    return IntersectionPoset(
+        members=tuple(Subgroup(masks[inc]) for inc in order),
+        successors=tuple(
+            tuple(sorted(map(at.__getitem__, poset.moves[inc]))) for inc in order
+        ),
+    )
 
 
 def class_sizes(g: Group) -> tuple[int, ...]:
-    """Number of subsets whose smallest containing intersection is each of
-    the ``intersection_subgroups(g).members``.
+    """Number of subsets whose smallest containing intersection is each
+    member of ``incidence_poset(g).masks``, in its order.
 
     Every non-generating subset has exactly one smallest intersection
     subgroup containing it, so g(I) = 2^|I| - sum of g(J) over the members J
     strictly inside I, and the sizes sum to the number of game positions.
     """
-    masks = [s.mask for s in intersection_subgroups(g).members]
+    masks = list(incidence_poset(g).masks.values())
     index = Incidence.over(masks, g.order)
     sizes = [1 << a.bit_count() for a in masks]
-    # members are sorted by order, so every proper subgroup J of I comes
-    # first and has its final size when I's turn comes
-    for i, a in enumerate(masks):
-        for j in bits(index.of(a) & ~(1 << i)):
+    # a proper subgroup J of I has more incidence bits, so it comes later in
+    # masks and has its final size when I's turn comes, in reverse
+    for i in reversed(range(len(masks))):
+        for j in bits(index.of(masks[i]) & ~(1 << i)):
             sizes[j] -= sizes[i]
     return tuple(sizes)
 
@@ -511,9 +515,12 @@ def smallest_intersection_containing(g: Group, s) -> Subgroup:
 
     ``s`` may be an iterable of element ids or an int bitmask.  This is the
     unique minimal intersection subgroup containing ``s``; raises
-    GeneratingSetError when no maximal subgroup contains ``s``.
+    GeneratingSetError when no maximal subgroup contains ``s`` and
+    ValueError when ``s`` holds an element outside g.
     """
     mask = s if isinstance(s, int) else mask_of(s)
+    if mask < 0 or mask >> g.order:
+        raise ValueError(f"the set has elements outside {g.name}")
     index = maximal_incidence(g)
     inc = index.of(mask)
     if not inc:

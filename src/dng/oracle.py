@@ -33,11 +33,11 @@ Each subset of size s is the child of exactly s positions, so the number of
 moves (``effort``) is the sum of the sizes of the owned subsets.  Values are
 kept per literal subset and never read the structure classes, so the oracle
 stays independent of the theory it cross-checks.  Before every sweep the
-oracle counts the positions from the intersection poset (``class_sizes``)
-and skips the sweep when the count exceeds the budget.  The poset decides
-only whether the sweep runs; the value never depends on it, and the maximals
-must own exactly the predicted number of positions before any position is
-valued.
+oracle counts the positions from the intersection poset, keyed by incidence
+and never numbered (``class_sizes``), and skips the sweep when the count
+exceeds the budget.  The poset decides only whether the sweep runs; the
+value never depends on it, and the maximals must own exactly the predicted
+number of positions before any position is valued.
 """
 
 from __future__ import annotations

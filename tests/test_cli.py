@@ -219,21 +219,31 @@ def test_only_diagram_lattice_sorts_the_whole_lattice(monkeypatch, capsys, argv)
     "argv, numbers",
     [
         (["analyze", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "--json", "--no-oracle"], False),
+        (["analyze", "S3 x S3", "--json"], False),
         (["verify", "--max-order", "24", "--no-oracle"], False),
+        (["verify", "--max-order", "24"], False),
         (["diagram", "A4 x A4"], True),
         (["diagram", "A4 x A4", "--simplified"], True),
     ],
-    ids=["analyze", "verify", "diagram", "diagram-simplified"],
+    ids=[
+        "analyze",
+        "analyze-oracle",
+        "verify",
+        "verify-oracle",
+        "diagram",
+        "diagram-simplified",
+    ],
 )
 def test_only_diagram_numbers_the_poset(monkeypatch, capsys, argv, numbers):
-    """analyze and verify solve the poset keyed by incidence; only the
-    structure diagrams number it by (order, mask)."""
+    """analyze and verify, the oracle's position count and d among them,
+    read the poset keyed by incidence; only the structure diagrams number
+    it by (order, mask)."""
     calls = []
-    numbered = lattice.IncidencePoset.numbered
+    numbered = lattice.IntersectionPoset
     monkeypatch.setattr(
-        lattice.IncidencePoset,
-        "numbered",
-        lambda poset: calls.append(len(poset.masks)) or numbered(poset),
+        lattice,
+        "IntersectionPoset",
+        lambda **kw: calls.append(len(kw["members"])) or numbered(**kw),
     )
     assert run_cli(capsys, *argv)[0] == 0
     assert calls == ([98] if numbers else [])  # A4 x A4 has 98 poset members

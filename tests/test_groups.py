@@ -13,6 +13,7 @@ from dng.groups import (
     element_order,
     is_abelian,
     is_cyclic,
+    is_normal,
     make_alternating,
     make_cyclic,
     make_dicyclic,
@@ -204,6 +205,15 @@ def test_quotient_rejects_non_subgroup(mask):
         quotient(make_symmetric(3), mask)
 
 
+@pytest.mark.parametrize("fn", [is_normal, coset_ids, quotient])
+@pytest.mark.parametrize("mask", [1 | 1 << 7, 1 << 6, 1 << 80, -1])
+def test_masks_outside_the_group_are_refused(fn, mask):
+    # S3 has elements 0..5: bit 7 sits inside the mask's last byte, bit 80
+    # far past it, and -1 sets every bit
+    with pytest.raises(ValueError, match="outside"):
+        fn(make_symmetric(3), mask)
+
+
 def test_quotient_projection_is_homomorphism():
     for spec in ["Z18 x Z2", "Dic3", "A4"]:
         g = build(parse_spec(spec))
@@ -243,6 +253,25 @@ def test_min_generators_cap():
     assert min_generators(g, cap=3) == 3
     with pytest.raises(GeneratorCapError):
         min_generators(g, cap=2)
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [
+        ("Z2 x Z2 x Z2 x Z2", 4),
+        ("Z2 x Z2 x Z2 x Z2 x Z2", 5),
+        ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 6),
+        ("Z3 x Z3 x Z3 x Z3", 4),
+        ("Dih(Z3 x Z3 x Z3 x Z3)", 5),  # Z3^4 needs 4, and a reflection
+    ],
+)
+def test_min_generators_beyond_the_default_cap(spec, d):
+    # an elementary abelian p-group Zp^k needs exactly k generators
+    g = build(parse_spec(spec))
+    assert min_generators(g, cap=d) == d
+    with pytest.raises(GeneratorCapError) as info:
+        min_generators(g, cap=d - 1)
+    assert info.value.cap == d - 1
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,12 @@ def test_smallest_intersection_rejects_generating_set():
         smallest_intersection_containing(g, [1])
 
 
+@pytest.mark.parametrize("s", [[7], [0, 6], 1 << 6, -1])
+def test_smallest_intersection_rejects_elements_outside_the_group(s):
+    with pytest.raises(ValueError, match="outside"):
+        smallest_intersection_containing(make_symmetric(3), s)
+
+
 def test_covering_predicates():
     assert even_maximals_cover(build(parse_spec("Z2 x Z3 x Z3")))
     assert not even_maximals_cover(make_symmetric(3))

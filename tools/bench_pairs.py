@@ -47,6 +47,10 @@ TRACE_NOTES = {
         "structure_digraph, solve_types); analyze and verify solve it keyed by "
         "incidence (solver.solve), so the traced layers cannot show that path"
     ),
+    "groups.min_generators_s": (
+        "min_generators reads d off the incidence poset, which the traced "
+        "pipeline built before this span, so the span times a lookup"
+    ),
 }
 
 
