@@ -208,7 +208,7 @@ def test_quotient_rejects_non_subgroup(mask):
 @pytest.mark.parametrize("fn", [is_normal, coset_ids, quotient])
 @pytest.mark.parametrize("mask", [1 | 1 << 7, 1 << 6, 1 << 80, -1])
 def test_masks_outside_the_group_are_refused(fn, mask):
-    # S3 has elements 0..5: bit 7 sits inside the mask's last byte, bit 80
+    # S3 has elements 0..5: bits 6 and 7 sit inside the last byte, bit 80
     # far past it, and -1 sets every bit
     with pytest.raises(ValueError, match="outside"):
         fn(make_symmetric(3), mask)
