@@ -56,6 +56,8 @@ _PINNED_WORK = [
     ("S6", 475, 1455, 53),
     ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 2765, 2825, 63),
     ("Dih(Z2 x Z2 x Z2 x Z2 x Z3)", 2541, 1362, 34),
+    ("S4 x S4", 2208, 2976, 17),
+    ("Z3 x Z3 x Z3 x Z3 x Z3", 2545, 2664, 121),
 ]
 
 
