@@ -19,6 +19,7 @@ from .classify import (
 )
 from .groups import (
     Group,
+    coset_ids,
     direct_product,
     element_order,
     is_cyclic,
@@ -76,6 +77,7 @@ __all__ = [
     "brute_nim_table",
     "build",
     "classify",
+    "coset_ids",
     "cyclic_formula",
     "direct_product",
     "element_order",

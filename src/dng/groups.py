@@ -295,13 +295,18 @@ def direct_product(g: Group, h: Group, budget: int = ORDER_BUDGET) -> Group:
     return Group.from_table(t, f"{g.name} x {h.name}", check_associativity=False)
 
 
+def _check_mask(g: Group, mask: int) -> None:
+    """Raise ValueError unless ``mask`` is a set of elements of g."""
+    if mask < 0 or mask >> g.order:
+        raise ValueError(f"the mask has bits outside the elements of {g.name}")
+
+
 def _membership(g: Group, sub) -> tuple[np.ndarray, np.ndarray]:
     """Ids in a Subgroup or int bitmask, ascending, and one flag per element."""
     mask = getattr(sub, "mask", sub)
     if not isinstance(mask, int):
         raise TypeError("expected a Subgroup or an int bitmask")
-    if mask < 0 or mask >> g.order:
-        raise ValueError(f"the mask has bits outside the elements of {g.name}")
+    _check_mask(g, mask)
     raw = np.frombuffer(mask.to_bytes(-(-g.order // 8), "little"), dtype=np.uint8)
     inside = np.unpackbits(raw, count=g.order, bitorder="little").view(bool)
     return np.flatnonzero(inside), inside
@@ -309,7 +314,10 @@ def _membership(g: Group, sub) -> tuple[np.ndarray, np.ndarray]:
 
 def is_normal(g: Group, sub) -> bool:
     """True iff x*N*x^-1 = N for every x in g."""
-    members, inside = _membership(g, sub)
+    return _is_normal(g, *_membership(g, sub))
+
+
+def _is_normal(g: Group, members: np.ndarray, inside: np.ndarray) -> bool:
     # row x holds x*m*x^-1 for each member m
     return bool(inside[g.table[g.table[:, members], g.inverses[:, None]]].all())
 
@@ -320,7 +328,10 @@ def coset_ids(g: Group, sub) -> np.ndarray:
     Cosets are numbered by their least elements, ascending; row x of
     ``table[:, members]`` is the coset xN.
     """
-    members, _ = _membership(g, sub)
+    return _coset_ids(g, _membership(g, sub)[0])
+
+
+def _coset_ids(g: Group, members: np.ndarray) -> np.ndarray:
     least = g.table[:, members].min(axis=1)
     return np.unique(least, return_inverse=True)[1]
 
@@ -331,9 +342,9 @@ def quotient(g: Group, sub) -> Group:
     # a finite set that holds the identity and its products is a subgroup
     if not inside[0] or not inside[g.table[np.ix_(members, members)]].all():
         raise ValueError("quotient divisor is not a subgroup")
-    if not is_normal(g, sub):
+    if not _is_normal(g, members, inside):
         raise NotNormalError("quotient divisor is not normal")
-    cos = coset_ids(g, sub)
+    cos = _coset_ids(g, members)
     # the least element of each coset, in coset order
     reps = np.unique(cos, return_index=True)[1]
     t = cos[g.table[reps][:, reps]]
@@ -356,13 +367,14 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def join_element(g: Group, members: list[int], gens: list[int], x: int) -> int:
     """Bitmask of the subgroup generated by a subgroup H and one element x.
 
-    ``members`` lists the elements of H, identity first (as ``bits`` yields
-    them), and ``gens`` generate H.  Dimino's coset step (G. Butler,
+    ``members`` lists the elements of H, and ``gens`` generate H, or are
+    empty when x normalizes H.  Dimino's coset step (G. Butler,
     *Fundamental Algorithms for Permutation Groups*, 1991): the result is a
     union of right cosets H*r, grown from H by adding the whole coset H*(r*s)
     whenever a coset representative r times a generator s (one of ``gens``,
-    or x) lands outside it.  Once the union has more than n/2 elements it can
-    only be the whole group.
+    or x) lands outside it.  With no ``gens`` the walk multiplies by x alone
+    and gives H<x>, a subgroup when x normalizes H.  Once the union has more
+    than n/2 elements it can only be the whole group.
     """
     cols = g.columns
     n = g.order
@@ -392,8 +404,10 @@ def closure_mask(g: Group, mask: int) -> int:
 
     The cyclic subgroup of its lowest element other than the identity, joined
     (``join_element``) with each further element not yet in the result; each
-    element joined is added to the generators.
+    element joined is added to the generators.  Raises ValueError when
+    ``mask`` has a bit outside g.
     """
+    _check_mask(g, mask)
     closed, gens = 1, []
     rest = mask & ~1  # the identity generates nothing
     while rest:

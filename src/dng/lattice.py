@@ -4,30 +4,33 @@ Enumeration works up to conjugacy, by cyclic extension (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005).  The seeds are the
 cyclic subgroups of prime-power order (``Group.cyclic_masks``): every
 element is a product of prime-power powers of itself, so every subgroup is a
-join of seeds.  Starting from the trivial subgroup, one
-representative of each conjugacy class is joined with every seed (a coset
-walk, ``groups.join_element``, that multiplies by a generating set of the
-representative: its parent's generators and the seed that made it, except
-that the trivial subgroup's join with a seed is the seed); a join not seen
-before is a new class, whose members are listed at once by conjugating with
-a generating set of g.  That walk also gives N_G(H) (Schreier's lemma):
+join of seeds.  Starting from the trivial subgroup, one representative H of
+each conjugacy class is joined with every seed by a coset walk
+(``groups.join_element``) that multiplies by the seed's generator x and by a
+generating set of H: its parent's generators and the seed that made it.  The
+trivial subgroup's join with a seed is the seed, and a normal H, alone in
+its class, is walked by x alone, since H<x> is a subgroup when x normalizes
+H.  A join not seen before is a new class, whose members are listed at once
+by conjugating with a generating set of g; each member's elements are the
+image list that found it.  That walk also gives N_G(H) (Schreier's lemma):
 with K = u_K*H*u_K^-1 for each member K, a step by x from K to a member K'
 seen before gives u_K'^-1*x*u_K, and these generate N_G(H) modulo the
-central generators, which fix every coset.  Since <H, hx> = <H, x> for h
-in H, and n<H, x>n^-1 = <H, nxn^-1> for n in N_G(H) is in the class of
-<H, x>, listed whole when found, and is g only if <H, x> is, a
-representative is joined with at most one seed per N_G(H)-orbit of right
-cosets under conjugation.  Joins whose result Lagrange's theorem fixes are
-skipped: when K contains H with prime index, no subgroup lies strictly
-between them, so <H, x> = K for every x in K \\ H.  A representative of
-prime index in g is therefore maximal with no join at all, a join that
-returns a K of prime index over H settles all of K, and so does every
-prime-index overgroup found before H's turn.  Those are the found subgroups
-of order |H|p that hold each generator of H, read off one bitset of found
-subgroups per order and one per generator.  A proper subgroup is maximal
-iff its join with every seed outside it is the whole group (an element
-outside H has a prime-power part outside H), and the maximal subgroups are
-the classes of the maximal representatives.
+central generators, which fix every coset.  Since <H, hx> = <H, x> for h in
+H, and n<H, x>n^-1 = <H, nxn^-1> for n in N_G(H) is in the class of <H, x>,
+listed whole when found, and is g only if <H, x> is, a representative is
+joined with at most one seed per N_G(H)-orbit of right cosets under
+conjugation.  Joins whose result Lagrange's theorem fixes are skipped: when
+K contains H with prime index, no subgroup lies strictly between them, so
+<H, x> = K for every x in K \\ H.  A representative of prime index in g is
+therefore maximal with no join at all, a join that returns a K of prime
+index over H settles all of K, and so does every prime-index overgroup found
+before H's turn.  Those are the found subgroups of order |H|p that hold each
+generator of H: for each order, the found subgroups of that order are listed
+with one bitset over the list per element, and the bitsets of H's generators
+at order |H|p are ANDed, so no bitset is wider than the subgroups of one
+order.  A proper subgroup is maximal iff its join with every seed outside it
+is the whole group (an element outside H has a prime-power part outside H),
+and the maximal subgroups are the classes of the maximal representatives.
 
 Which members of a list of subgroups contain a set is answered by its
 incidence, the bitmask of those members: the AND of its elements'
@@ -200,17 +203,23 @@ def _enumerate(
 
     pow2 = [1 << x for x in range(n)]
 
-    def conjugacy_class(h: int) -> tuple[list[int], tuple[int, ...]]:
-        """The class of H, H first, and generators of N_G(H) modulo the
-        central span generators (Schreier's lemma): v^-1*x*u for each step
-        from u*H*u^-1 to a member v*H*v^-1 seen before, less the identity."""
+    def conjugacy_class(
+        h: int,
+    ) -> tuple[list[int], tuple[int, ...], list[int] | None]:
+        """The class of H, H first, generators of N_G(H) modulo the central
+        span generators (Schreier's lemma): v^-1*x*u for each step from
+        u*H*u^-1 to a member v*H*v^-1 seen before, less the identity, and the
+        elements of H, ascending (None if g is abelian: nothing is
+        conjugated, and they are listed only if H is joined)."""
         if not conjugations:  # g is abelian
-            return [h], ()
+            return [h], (), None
         orbit = [h]
+        elements = list(bits(h))
+        # each member's elements: H's, then the image that found the member
+        lists = [elements]
         via = {h: 0}  # each member K, with a u such that K = u*H*u^-1
         normalizer = set()
-        for k in orbit:  # grows while it is walked
-            members = list(bits(k))
+        for k, members in zip(orbit, lists):  # both grow while walked
             u = via[k]
             for x, conj in conjugations:
                 # the images are distinct bits, so their sum is their OR
@@ -219,28 +228,30 @@ def _enumerate(
                 if v is None:
                     via[image] = cols[u][x]
                     orbit.append(image)
+                    lists.append(list(map(conj.__getitem__, members)))
                 else:
                     normalizer.add(cols[u][cols[x][inverses[v]]])
         normalizer.discard(0)
-        return orbit, tuple(sorted(normalizer))
+        return orbit, tuple(sorted(normalizer)), elements
 
     # every prime dividing |g| is the order of an element (Cauchy)
     primes = {k for k in set(g.element_orders) if k > 1 and _least_prime(k) == k}
     seed_gens = mask_of(x for _, x in seeds)
     cyclic = g.cyclic_masks
     found = {1, full}
-    # The proper nontrivial subgroups found so far, numbered as found: bit i
-    # of of_order[k] is set iff listed[i] has order k, and bit i of
-    # holding[z] iff listed[i] contains the seed generator z.
-    listed: list[int] = []
-    of_order: dict[int, int] = {}
-    holding = dict.fromkeys(bits(seed_gens), 0)
+    # Per order m, the proper nontrivial subgroups of order m found so far,
+    # and per element id z the bitset over that list of those holding z
+    # (kept for the seed generators only).
+    by_order: dict[int, tuple[list[int], list[int]]] = {}
     # each class: its members, representative first, a generating set of the
     # representative (its parent's plus the seed that made it, at most log2
-    # of its order long) and the representative's normalizer generators
-    classes = [([1], [], conjugacy_class(1)[1])]
+    # of its order long) and the representative's normalizer generators;
+    # alongside, the representative's elements
+    orbit, normalizer, members = conjugacy_class(1)
+    classes = [(orbit, [], normalizer)]
+    rep_elements = [members]
     maximals: list[int] = []
-    for orbit, gens, normalizer in classes:  # grows while it is walked
+    for (orbit, gens, normalizer), members in zip(classes, rep_elements):  # both grow
         h = orbit[0]
         k = h.bit_count()
         if n // k in primes:  # a subgroup of prime index is maximal
@@ -249,22 +260,28 @@ def _enumerate(
         # the prime-index overgroups K of H found so far: the found subgroups
         # of order |H|p that hold every generator of H.  <H, x> = K for every
         # x in K, so those joins are known.
-        over = 0
-        for p in primes:
-            if n // k % p == 0:
-                over |= of_order.get(k * p, 0)
-        for z in gens:
-            over &= holding[z]
-        maximal = not over
+        maximal = True
         known = h  # H and its known overgroups
-        while over:
-            i = over.bit_length() - 1
-            over ^= 1 << i
-            known |= listed[i]
+        for p in primes:
+            if n // k % p == 0 and (index := by_order.get(k * p)):
+                listed, holding = index
+                over = (1 << len(listed)) - 1
+                for z in gens:
+                    over &= holding[z]
+                if over:
+                    maximal = False
+                while over:
+                    i = over.bit_length() - 1
+                    over ^= 1 << i
+                    known |= listed[i]
         todo = seed_gens & ~known
         if not todo:  # every join is a known overgroup, so H is not maximal
             continue
-        members = list(bits(h))
+        if members is None:
+            members = list(bits(h))
+        # x normalizes a normal H, so H<x> is a subgroup: the join walks the
+        # powers of x alone
+        walk_gens = gens if len(orbit) > 1 else []
         # conjugation by each normalizer generator s: y -> s*y*s^-1
         by = [(s, cols[inverses[s]]) for s in normalizer]
         # one join per N_G(H)-orbit of right cosets (see the module docstring)
@@ -276,25 +293,26 @@ def _enumerate(
             if coset[x]:
                 continue
             # <1, x> = <x>, which the cyclic subgroup walks already hold
-            j = cyclic[x] if k == 1 else join_element(g, members, gens, x)
+            j = cyclic[x] if k == 1 else join_element(g, members, walk_gens, x)
             if j != full:
                 maximal = False
                 size = j.bit_count()
                 if j not in found:
-                    orbit_j, normalizer_j = conjugacy_class(j)
+                    orbit_j, normalizer_j, members_j = conjugacy_class(j)
                     classes.append((orbit_j, [*gens, x], normalizer_j))
+                    rep_elements.append(members_j)
                     found.update(orbit_j)
                     if len(found) > SUBGROUP_GUARD:
                         raise LatticeGuardError(
                             f"more than {SUBGROUP_GUARD} subgroups in {g.name}"
                         )
-                    start = len(listed)
-                    listed += orbit_j
-                    of_order[size] = of_order.get(size, 0) | (
-                        (1 << len(orbit_j)) - 1
-                    ) << start
-                    for i, m in enumerate(orbit_j, start):
-                        bit = 1 << i
+                    index = by_order.get(size)
+                    if index is None:
+                        index = by_order[size] = ([], [0] * n)
+                    listed, holding = index
+                    for m in orbit_j:
+                        bit = 1 << len(listed)
+                        listed.append(m)
                         m &= seed_gens
                         while m:
                             z = m.bit_length() - 1

@@ -22,6 +22,7 @@ from dng.groups import (
     min_generators,
     quotient,
 )
+from dng import groups
 from dng.groupspec import build, parse_spec
 from dng.lattice import frattini
 
@@ -205,13 +206,23 @@ def test_quotient_rejects_non_subgroup(mask):
         quotient(make_symmetric(3), mask)
 
 
-@pytest.mark.parametrize("fn", [is_normal, coset_ids, quotient])
-@pytest.mark.parametrize("mask", [1 | 1 << 7, 1 << 6, 1 << 80, -1])
+@pytest.mark.parametrize("fn", [is_normal, coset_ids, quotient, closure_mask])
+@pytest.mark.parametrize("mask", [1 | 1 << 7, 1 << 6, 1 << 80, -1, 1 << 7, 1 | 1 << 6, -2])
 def test_masks_outside_the_group_are_refused(fn, mask):
     # S3 has elements 0..5: bits 6 and 7 sit inside the last byte, bit 80
-    # far past it, and -1 sets every bit
+    # far past it; -1 sets every bit, and -2 every bit but the identity's
     with pytest.raises(ValueError, match="outside"):
         fn(make_symmetric(3), mask)
+
+
+@pytest.mark.parametrize("divisor", [1, 0b1001, 0b10101, 0b111111])
+def test_quotient_unpacks_its_divisor_once(monkeypatch, divisor):
+    # the subgroups of Z6: {0}, <3> = {0, 3}, <2> = {0, 2, 4} and Z6
+    calls = []
+    unpack = groups._membership
+    monkeypatch.setattr(groups, "_membership", lambda *a: calls.append(a) or unpack(*a))
+    quotient(make_cyclic(6), divisor)
+    assert len(calls) == 1
 
 
 def test_quotient_projection_is_homomorphism():
