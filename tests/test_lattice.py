@@ -59,6 +59,9 @@ _PINNED_WORK = [
     ("Dih(Z2 x Z2 x Z2 x Z2 x Z3)", 2541, 1362, 34),
     ("S4 x S4", 2208, 2976, 17),
     ("Z3 x Z3 x Z3 x Z3 x Z3", 2545, 2664, 121),
+    ("D48", 175, 134, 6),
+    ("D360", 1611, 1194, 11),
+    ("Dic24", 79, 70, 6),
 ]
 
 
