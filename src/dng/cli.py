@@ -159,8 +159,10 @@ CSV_COLUMNS = (
 
 
 def _read_catalog(path: str) -> list[tuple[str, str]]:
-    """(``path:line``, spec) for each line that is neither blank nor a '#' comment."""
-    with open(path, encoding="utf-8") as fh:
+    """(``path:line``, spec) for each line that is neither blank nor a '#'
+    comment.  A leading UTF-8 byte-order mark, as some editors write one, is
+    dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1)]
     return [(f"{path}:{n}", ln) for n, ln in lines if ln and not ln.startswith("#")]
 

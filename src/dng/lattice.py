@@ -11,26 +11,30 @@ generating set of H: its parent's generators and the seed that made it.  The
 trivial subgroup's join with a seed is the seed, and a normal H, alone in
 its class, is walked by x alone, since H<x> is a subgroup when x normalizes
 H.  A join not seen before is a new class, whose members are listed at once
-by conjugating with a generating set of g; each member's elements are the
-image list that found it.  That walk also gives N_G(H) (Schreier's lemma):
-with K = u_K*H*u_K^-1 for each member K, a step by x from K to a member K'
-seen before gives u_K'^-1*x*u_K, and these generate N_G(H) modulo the
-central generators, which fix every coset.  Since <H, hx> = <H, x> for h in
-H, and n<H, x>n^-1 = <H, nxn^-1> for n in N_G(H) is in the class of <H, x>,
-listed whole when found, and is g only if <H, x> is, a representative is
-joined with at most one seed per N_G(H)-orbit of right cosets under
-conjugation.  Joins whose result Lagrange's theorem fixes are skipped: when
-K contains H with prime index, no subgroup lies strictly between them, so
-<H, x> = K for every x in K \\ H.  A representative of prime index in g is
-therefore maximal with no join at all, a join that returns a K of prime
-index over H settles all of K, and so does every prime-index overgroup found
-before H's turn.  Those are the found subgroups of order |H|p that hold each
-generator of H: for each order, the found subgroups of that order are listed
-with one bitset over the list per element, and the bitsets of H's generators
-at order |H|p are ANDed, so no bitset is wider than the subgroups of one
-order.  A proper subgroup is maximal iff its join with every seed outside it
-is the whole group (an element outside H has a prime-power part outside H),
-and the maximal subgroups are the classes of the maximal representatives.
+by conjugating with generators of g modulo its centre Z: the cyclic
+generators, largest order first, each outside the span of those before it,
+taken once per distinct action (one acting as a kept y does is a central
+element times y); each member's elements are the image list that found it.
+That walk also gives N_G(H) (Schreier's lemma): with K = u_K*H*u_K^-1 for
+each member K, a step by x from K to a member K' seen before gives
+u_K'^-1*x*u_K, and these, with Z, generate N_G(H).  Z fixes every coset
+under conjugation, so they alone give its orbits.  Since <H, hx> = <H, x>
+for h in H, and n<H, x>n^-1 = <H, nxn^-1> for n in N_G(H) is in the class of
+<H, x>, listed whole when found, and is g only if <H, x> is, a
+representative is joined with at most one seed per N_G(H)-orbit of right
+cosets under conjugation.  Joins whose result Lagrange's theorem fixes are
+skipped: when K contains H with prime index, no subgroup lies strictly
+between them, so <H, x> = K for every x in K \\ H.  A representative of
+prime index in g is therefore maximal with no join at all, a join that
+returns a new class of prime index over H settles every member of it that
+contains H, and so does every prime-index overgroup found before H's turn.
+Those are the found subgroups of order |H|p that hold each generator of H:
+for each order, the found subgroups of that order are listed with one bitset
+over the list per element, and the bitsets of H's generators at order |H|p
+are ANDed, so no bitset is wider than the subgroups of one order.  A proper
+subgroup is maximal iff its join with every seed outside it is the whole
+group (an element outside H has a prime-power part outside H), and the
+maximal subgroups are the classes of the maximal representatives.
 
 Which members of a list of subgroups contain a set is answered by its
 incidence, the bitmask of those members: the AND of its elements'
@@ -177,28 +181,35 @@ def _enumerate(
     the conjugacy classes of subgroups, found one class at a time.
 
     Each class lists its members, representative H first, a generating set
-    of H, and generators of N_G(H) modulo the central span generators.
+    of H, and generators of N_G(H) modulo its centre.  When a join of H
+    returns a new class of prime index over H, every member of it over H is
+    settled at once: its joins with H are itself.
     """
     n, full = g.order, g.full_mask
     cols = g.columns
     inverses = g.inverses.tolist()
+    orders, cyclic = g.element_orders, g.cyclic_masks
     # joining a seed's generator joins the seed
     seeds = _seeds(g)
-    # conjugation by a generating set of g, taken greedily from the seeds:
-    # each generator x with conj[h] = x*h*x^-1.  A central x fixes every
-    # subgroup, so it is left out.
+    # conjugation by a generating set of g modulo its centre, taken greedily
+    # from the cyclic generators, largest order first: each generator x with
+    # conj[h] = x*h*x^-1, kept once per distinct action.  An x acting as the
+    # identity is central, and one acting as a kept y does is (x*y^-1)*y, a
+    # central element times y, so the kept ones move subgroups as g does.
     conjugations: list[tuple[int, list[int]]] = []
-    identity = list(range(n))
+    actions = [list(range(n))]  # the identity's, then the kept ones
     span, span_gens = 1, []
-    for c, x in seeds:
+    for x in sorted(g.cyclic_generators[1:], key=lambda x: (-orders[x], x)):
         if span == full:
             break
+        c = cyclic[x]
         if c & ~span:
-            # the span's first step is the seed itself
+            # the span's first step is the cyclic subgroup itself
             span = join_element(g, list(bits(span)), span_gens, x) if span_gens else c
             span_gens = [*span_gens, x]
             conj = g.table[:, inverses[x]][g.table[x]].tolist()
-            if conj != identity:
+            if conj not in actions:
+                actions.append(conj)
                 conjugations.append((x, conj))
 
     pow2 = [1 << x for x in range(n)]
@@ -206,11 +217,12 @@ def _enumerate(
     def conjugacy_class(
         h: int,
     ) -> tuple[list[int], tuple[int, ...], list[int] | None]:
-        """The class of H, H first, generators of N_G(H) modulo the central
-        span generators (Schreier's lemma): v^-1*x*u for each step from
-        u*H*u^-1 to a member v*H*v^-1 seen before, less the identity, and the
-        elements of H, ascending (None if g is abelian: nothing is
-        conjugated, and they are listed only if H is joined)."""
+        """The class of H, H first, generators of N_G(H) modulo the centre
+        (Schreier's lemma over the distinct actions): v^-1*x*u for each
+        step from u*H*u^-1 to a member v*H*v^-1 seen before, less the
+        identity, and the elements of H, ascending (None if g is
+        abelian: nothing is conjugated, and they are listed only if H
+        is joined)."""
         if not conjugations:  # g is abelian
             return [h], (), None
         orbit = [h]
@@ -235,9 +247,8 @@ def _enumerate(
         return orbit, tuple(sorted(normalizer)), elements
 
     # every prime dividing |g| is the order of an element (Cauchy)
-    primes = {k for k in set(g.element_orders) if k > 1 and _least_prime(k) == k}
+    primes = {k for k in set(orders) if k > 1 and _least_prime(k) == k}
     seed_gens = mask_of(x for _, x in seeds)
-    cyclic = g.cyclic_masks
     found = {1, full}
     # Per order m, the proper nontrivial subgroups of order m found so far,
     # and per element id z the bitset over that list of those holding z
@@ -318,9 +329,13 @@ def _enumerate(
                             z = m.bit_length() - 1
                             m ^= 1 << z
                             holding[z] |= bit
-                if size // k in primes:  # <H, y> = j for every y in j
-                    todo &= ~j
-                    continue
+                    if size // k in primes:
+                        # <H, y> = K for every y in a K of prime index over
+                        # H: j and every other member of its class over H
+                        for m in orbit_j:
+                            if m & h == h:
+                                todo &= ~m
+                        continue
             # mark the orbit of Hx, one right coset per element reached
             col = cols[x]
             for m in members:

@@ -83,3 +83,36 @@ def test_summarise_pairs_every_metric():
     ok = s["metrics"]["ok_ratio"]
     assert (ok["wins"], ok["losses"], ok["change"]) == (0, 0, 0.0)
     assert not ok["beyond_base_iqr"]
+
+
+def traced_line(correct=True, **values):
+    return {"correct": correct,
+            "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def test_stages_are_the_timed_layers_less_the_trace_and_the_skip():
+    stages = bench_pairs.stages(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert len(stages) == 10
+    assert stages[0] == "groupspec.build_s" and "oracle.brute_nim_s" in stages
+    assert not {"oracle.skip_s", "trace.overhead_s", "lattice.subgroups"} & set(stages)
+
+
+def test_summarise_traced_takes_medians_and_shares_of_each_run():
+    runs = [
+        traced_line(a_s=0.06, b_s=0.02, n=5.0),  # shares 0.75 and 0.25
+        traced_line(a_s=0.09, b_s=0.01, n=5.0),  # the box ran slower: 0.9, 0.1
+        traced_line(a_s=0.03, b_s=0.03, n=5.0),  # 0.5, 0.5
+    ]
+    s = bench_pairs.summarise_traced(runs, ["a_s", "b_s"])
+    assert s["correct"] is True
+    assert s["median"] == {"a_s": 0.06, "b_s": 0.02, "n": 5.0}
+    assert s["share"] == {"a_s": pytest.approx(0.75), "b_s": pytest.approx(0.25)}
+
+
+def test_summarise_traced_reports_a_wrong_run_and_an_idle_one():
+    runs = [traced_line(a_s=0.0, b_s=0.0), traced_line(False, a_s=0.02, b_s=0.02)]
+    s = bench_pairs.summarise_traced(runs, ["a_s", "b_s"])
+    assert s["correct"] is False
+    # a run whose stages took no time gives each a share of 0
+    assert s["share"] == {"a_s": 0.25, "b_s": 0.25}
+    assert s["median"] == {"a_s": 0.01, "b_s": 0.01}

@@ -294,6 +294,18 @@ def test_verify_custom_catalog(tmp_path, capsys):
     assert lines[4].startswith("Z2 x Z2 x Z2 x Z2,") and lines[4].endswith(",>3")
 
 
+@pytest.mark.parametrize("text", ["S3\nZ4\n", "# survey\nDic2\n", "S3\nZ4 x\n"])
+def test_verify_catalog_ignores_a_byte_order_mark(tmp_path, capsys, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(plain))
+    assert run_cli(capsys, "verify", "--catalog", str(marked)) == (
+        code, out, err.replace(str(plain), str(marked))
+    )
+
+
 def test_verify_catalog_bad_line_number(tmp_path, capsys):
     f = tmp_path / "specs.txt"
     f.write_text("# survey\nS3\n\nZ4 x\nDic2\n")

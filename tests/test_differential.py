@@ -201,6 +201,10 @@ ENUMERATION_SPECS = catalog_specs(36) + [
     "Z2 x Z2 x Z2 x Z2 x Z3",
     "GL(2,3)",
     "SL(2,3)",
+    "D48",
+    "Dic24",
+    "D45",
+    "D60",
 ]
 
 
@@ -218,12 +222,14 @@ def test_enumeration_matches_coset_fixpoint(spec):
     assert [m.mask for m in maximal_subgroups(g)] == maximals
 
 
-@pytest.mark.parametrize("spec", catalog_specs(48) + ["S5", "A4 x A4", "S4 x S3"])
+@pytest.mark.parametrize(
+    "spec", catalog_specs(48) + ["S5", "A4 x A4", "S4 x S3", "D48", "Dic24", "D60"]
+)
 def test_class_normalizers_match_brute_force(spec):
     """Enumeration joins a class representative H once per orbit of right
     cosets under the normalizer generators recorded with its class.  Each of
-    them normalizes H, and with the center, whose elements fix every coset
-    (the central span generators among them), they generate N_G(H)."""
+    them normalizes H, and with the centre, whose elements fix every coset,
+    they generate N_G(H)."""
     g = build(parse_spec(spec))
     t = g.table.tolist()
     center = mask_of(z for z, row in enumerate(t) if row == [r[z] for r in t])

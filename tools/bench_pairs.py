@@ -8,15 +8,20 @@ PYTHONDONTWRITEBYTECODE unset, so that no run pays for bytecode that another
 left stale.  For each workload, pair i of ``PAIRS`` runs the unmodified
 ``perfbench/run.py --workload W --seed i --trace 0`` once on each side, the
 base first in even pairs and the head first in odd ones.  Then each side
-makes one ``--trace 1`` run for the per-layer metrics.  Every run lasts the
-benchmark's ``run_seconds``.
+makes one ``--trace 1`` run per seed of ``TRACED_SEEDS``, alternating the same
+way, for the per-layer metrics.  Every run lasts the benchmark's
+``run_seconds``.
 
 The output gives, per workload and end-to-end metric, each side's median and
 quartiles, the head's wins out of the pairs (ties count for neither side)
 and whether the medians differ by more than the base's interquartile range.
-Each side's traced layer metrics are recorded as they came.  The run
-length, the workloads and the metric directions are read from
-``BENCHMARK.json``; the report is written at the root of the repository.
+For each side's traced runs it gives every layer metric's median and each
+stage's median share of its run's summed stage time.  Traced times are raw,
+not corrected for the machine's speed, so one run's layer can swing by a
+third on unchanged code; a share is read against the other stages of the
+same run, which the machine slowed alike.  The run length, the workloads and
+the metric directions are read from ``BENCHMARK.json``; the report is
+written at the root of the repository.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 PAIRS = 10
+TRACED_SEEDS = (1, 2, 3)
 
 #: What the traced layers of ``perfbench/harness.py`` time that the CLI does not.
 TRACE_NOTES = {
@@ -107,6 +113,31 @@ def summarise(pairs: list[tuple[dict, dict]], directions: dict[str, str]) -> dic
     }
 
 
+def summarise_traced(runs: list[dict], stages: list[str]) -> dict:
+    """One side's traced result lines: each layer metric's median over the
+    runs, and each stage's median share of its run's summed stage time."""
+    values = {name: [r["metrics"][name]["value"] for r in runs] for name in runs[0]["metrics"]}
+    totals = [sum(r["metrics"][s]["value"] for s in stages) for r in runs]
+    return {
+        "correct": all(r["correct"] for r in runs),
+        "median": {name: statistics.median(v) for name, v in values.items()},
+        "share": {
+            s: statistics.median(v / t if t else 0.0 for v, t in zip(values[s], totals))
+            for s in stages
+        },
+    }
+
+
+def stages(benchmark: dict) -> list[str]:
+    """The per-layer metrics that time one stage each: those in seconds, less
+    the trace's own and ``oracle.skip_s``, a part of ``oracle.brute_nim_s``."""
+    return [
+        m["name"] for m in benchmark["per_layer"]
+        if m["unit"] == "s" and not m["name"].startswith("trace.")
+        and m["name"] != "oracle.skip_s"
+    ]
+
+
 def directions(benchmark: dict) -> dict[str, str]:
     """Metric name -> "lower" or "higher", from ``BENCHMARK.json``."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
@@ -164,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "seconds": seconds,
         "seeds": seeds,
+        "traced_seeds": list(TRACED_SEEDS),
         "trace_notes": TRACE_NOTES,
         "workloads": {},
     }
@@ -181,13 +213,15 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append((result[base_tree], result[head_tree]))
         summary = summarise(pairs, better)
         summary["env"] = env
-        summary["traced"] = {}
-        for side, tree in (("base", base_tree), ("head", head_tree)):
-            _, traced = run_once(tree, workload, 1, seconds, 1)
-            summary["traced"][side] = {
-                "correct": traced["correct"],
-                **{k: m["value"] for k, m in traced["metrics"].items()},
-            }
+        traced = {base_tree: [], head_tree: []}
+        for seed in TRACED_SEEDS:
+            order = [base_tree, head_tree] if seed % 2 == 0 else [head_tree, base_tree]
+            for tree in order:
+                traced[tree].append(run_once(tree, workload, seed, seconds, 1)[1])
+        summary["traced"] = {
+            side: summarise_traced(traced[tree], stages(benchmark))
+            for side, tree in (("base", base_tree), ("head", head_tree))
+        }
         report["workloads"][workload] = summary
     out = ROOT / f"BENCH_{head_sha[:7]}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
