@@ -168,6 +168,11 @@ def checkout(rev: str) -> tuple[str, Path]:
     return sha, tree
 
 
+def in_turn(seed: int, base: Path, head: Path) -> list[Path]:
+    """The two trees in run order: the base first for an even seed."""
+    return [base, head] if seed % 2 == 0 else [head, base]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -202,9 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     for workload in (w["name"] for w in benchmark["workloads"]):
         pairs, env = [], None
         for seed in seeds:
-            order = [base_tree, head_tree] if seed % 2 == 0 else [head_tree, base_tree]
             result = {}
-            for tree in order:
+            for tree in in_turn(seed, base_tree, head_tree):
                 detail, result[tree] = run_once(tree, workload, seed, seconds, 0)
                 env = detail["env"]
                 print(f"{workload} seed {seed} {tree.name[:7]}: "
@@ -215,8 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         summary["env"] = env
         traced = {base_tree: [], head_tree: []}
         for seed in TRACED_SEEDS:
-            order = [base_tree, head_tree] if seed % 2 == 0 else [head_tree, base_tree]
-            for tree in order:
+            for tree in in_turn(seed, base_tree, head_tree):
                 traced[tree].append(run_once(tree, workload, seed, seconds, 1)[1])
         summary["traced"] = {
             side: summarise_traced(traced[tree], stages(benchmark))
