@@ -10,6 +10,11 @@ one walk per cyclic subgroup, which multiplies its least generator in until
 the identity.  ``closure_mask`` and ``join_element`` generate subgroups by
 coset walks; ``min_generators`` instead reads d(G) off the breadth-first
 walk over which maximal subgroups contain each set (``lattice``).
+
+The constructors' tables are groups by construction: each is built with its
+inverses in closed form and is not validated when built.  The test suite
+runs ``_validate_table`` on them instead; at run time only ``from_table``, on
+a caller's table, and ``quotient`` validate.
 """
 
 from __future__ import annotations
@@ -32,8 +37,20 @@ from .errors import (
 #: Largest group order the constructors build by default.
 ORDER_BUDGET = 720
 
-#: Orders up to this bound get the O(n^3) associativity check at construction.
-#: Quotients are always checked regardless of order.
+#: Most bytes a group may need, estimated from its order n as
+#: ``BYTES_PER_CELL * n**2`` before any table exists; a larger group is
+#: refused with BudgetError.
+MEMORY_CAP = 1 << 30
+
+#: Peak bytes per Cayley-table cell, measured: the int32 table (4 bytes),
+#: its Python column lists (8) and the object array they are read from (8)
+#: make 20; the int64 temporaries of the dicyclic and permutation
+#: constructors make 24.
+BYTES_PER_CELL = 24
+
+#: Orders up to this bound get the O(n^3) associativity check in
+#: ``Group.from_table`` by default.  Quotients are always checked regardless
+#: of order.
 ASSOC_CHECK_BOUND = 256
 
 
@@ -141,6 +158,22 @@ class Group:
         inverses = _validate_table(t, check_associativity)
         return cls(order=len(inverses), table=t, inverses=inverses, name=name)
 
+    @classmethod
+    def _constructed(cls, table, name: str, inverses=None) -> "Group":
+        """A constructor's table, a group by construction, made C-contiguous
+        int32 without validation.  ``inverses`` default to the column of the
+        identity in each row."""
+        t = np.ascontiguousarray(table, dtype=np.int32)
+        if inverses is None:
+            inverses = _row_inverses(t)
+        return cls(order=len(t), table=t, inverses=inverses, name=name)
+
+
+def _row_inverses(t: np.ndarray) -> np.ndarray:
+    """The inverse of each element of a Latin square: the identity is in
+    exactly one column of each row."""
+    return np.argmax(t == 0, axis=1).astype(np.int32)
+
 
 def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarray:
     """Check that ``t`` is a group table; return the inverse of each element."""
@@ -163,8 +196,7 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
         for a in range(n):
             if not (t[t[a], :] == t[a][t]).all():
                 raise ValueError(f"associativity fails for a={a}")
-    # each row is a permutation, so it holds exactly one identity
-    return np.argmax(t == 0, axis=1).astype(np.int32)
+    return _row_inverses(t)
 
 
 def capped_product(factors: Iterable[int | None], cap: int | None = None) -> int | None:
@@ -185,13 +217,20 @@ def capped_product(factors: Iterable[int | None], cap: int | None = None) -> int
 
 def check_budget(factors: Iterable[int | None], budget: int, what: str) -> int:
     """The order ``capped_product(factors, budget)``, raising BudgetError
-    above the budget; the message gives the order only when it was reached
-    exactly."""
+    above the budget or when its tables would need more than ``MEMORY_CAP``
+    bytes; the message gives the order only when it was reached exactly."""
     order = capped_product(factors, budget)
     if order is None:
         raise BudgetError(f"{what} has an order exceeding budget {budget}")
     if order > budget:
         raise BudgetError(f"{what} has order {order}, exceeding budget {budget}")
+    need = BYTES_PER_CELL * order**2
+    if need > MEMORY_CAP:
+        raise BudgetError(
+            f"{what} has order {order}, whose tables need about "
+            f"{-(-need // 2**20):,} MiB, exceeding the memory cap of "
+            f"{MEMORY_CAP // 2**20:,} MiB"
+        )
     return order
 
 
@@ -207,7 +246,7 @@ def make_cyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     ids = np.arange(n, dtype=np.int32)
     t = ids[:, None] + ids  # below 2n, so one subtraction of n reduces it
     np.subtract(t, n, out=t, where=t >= n)
-    return Group.from_table(t, f"Z{n}", check_associativity=False)
+    return Group._constructed(t, f"Z{n}", (n - ids) % n)
 
 
 def is_abelian(g: Group) -> bool:
@@ -231,7 +270,9 @@ def make_generalized_dihedral(a: Group, budget: int = ORDER_BUDGET) -> Group:
     t[:m, m:] = ta + m
     t[m:, :m] = tinv + m
     t[m:, m:] = tinv
-    return Group.from_table(t, f"Dih({a.name})", check_associativity=False)
+    # each reflection is its own inverse
+    inverses = np.concatenate([a.inverses, np.arange(m, 2 * m, dtype=np.int32)])
+    return Group._constructed(t, f"Dih({a.name})", inverses)
 
 
 def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
@@ -248,7 +289,7 @@ def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     k = np.arange(m)[None, None, None, :]
     e = i + (1 - 2 * j) * k + n * j * l
     t = ((j + l) % 2 * m + e % m).reshape(2 * m, 2 * m)
-    return Group.from_table(t, f"Dic{n}", check_associativity=False)
+    return Group._constructed(t, f"Dic{n}")
 
 
 def _perm_parity(p: tuple) -> int:
@@ -267,7 +308,7 @@ def _perm_group(perms: list[tuple], name: str) -> Group:
     products = sum(p[:, p[:, i]] * w for i, w in enumerate(weights))
     rank = np.argsort(codes)
     t = rank[np.searchsorted(codes[rank], products)]
-    return Group.from_table(t, name, check_associativity=False)
+    return Group._constructed(t, name)
 
 
 def make_symmetric(n: int, budget: int = ORDER_BUDGET) -> Group:
@@ -292,7 +333,8 @@ def direct_product(g: Group, h: Group, budget: int = ORDER_BUDGET) -> Group:
     """Component-wise product on pairs, flattened to ids (a, b) -> a*|h|+b."""
     n = check_budget([g.order, h.order], budget, f"{g.name} x {h.name}")
     t = (g.table[:, None, :, None] * h.order + h.table[None, :, None, :]).reshape(n, n)
-    return Group.from_table(t, f"{g.name} x {h.name}", check_associativity=False)
+    inverses = (g.inverses[:, None] * h.order + h.inverses[None, :]).ravel()
+    return Group._constructed(t, f"{g.name} x {h.name}", inverses)
 
 
 def _check_mask(g: Group, mask: int) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 
 from dng.groups import (
     Group,
+    _validate_table,
     bits,
     closure_mask,
     element_order,
@@ -287,6 +288,17 @@ def reference_dicyclic_table(n: int) -> list[list[int]]:
                             ei, ej = (ei + n) % m, 0
                     t[j * m + i][l * m + k] = ej * m + ei
     return t
+
+
+def assert_valid_construction(g: Group) -> None:
+    """The check a constructor skips: its table is C-contiguous int32 and
+    passes ``_validate_table`` as ``Group.from_table`` runs it (associativity
+    up to ``ASSOC_CHECK_BOUND``), and its closed-form inverses are the
+    validated ones."""
+    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous, g.name
+    inverses = _validate_table(g.table, None)
+    assert g.inverses.dtype == np.int32, g.name
+    assert np.array_equal(g.inverses, inverses), g.name
 
 
 def reference_inverses(table: np.ndarray) -> list[int]:

@@ -409,10 +409,15 @@ def test_largest_budget_skips_before_allocating(capsys):
     assert "oracle: skipped(budget)\n" in out
 
 
-def test_module_entry_point():
+def _cli_env(**extra) -> dict:
+    """The environment of a CLI subprocess that imports dng from src."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
+def test_module_entry_point():
+    env = _cli_env()
     proc = subprocess.run(
         [sys.executable, "-m", "dng.cli", "analyze", "S3"],
         capture_output=True, text=True, env=env, timeout=120,
@@ -424,9 +429,7 @@ def test_module_entry_point():
 def test_closed_pipe_exits_1_without_a_traceback():
     """A reader that stops after the header (``dng verify | head -1``) ends
     the run at its next row: exit 1 and nothing on stderr."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "dng.cli", "verify", "--max-order", "720", "--no-oracle"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -439,6 +442,34 @@ def test_closed_pipe_exits_1_without_a_traceback():
         proc.kill()
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_memory_cap_exits_3_under_an_address_space_limit():
+    """Z30000's tables would need about 20 GiB: under a 1.5 GB limit on the
+    child's address space it is refused at once, with exit 3 and one error
+    line, not a traceback from the allocation.  Z2000, below the cap, runs
+    under the same limit."""
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+
+    def analyze(spec):
+        return subprocess.run(
+            [sys.executable, "-m", "dng.cli", "analyze", spec,
+             "--max-order", "30000", "--no-oracle"],
+            capture_output=True, text=True, timeout=120,
+            env=_cli_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    proc = analyze("Z30000")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: Z30000 has order 30000, whose tables need about 20,600 MiB, "
+        "exceeding the memory cap of 1,024 MiB\n"
+    )
+    proc = analyze("Z2000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("group: Z2000 (order 2000)\n")
 
 
 def test_unknown_command_exits():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import element_orders
+from _helpers import assert_valid_construction, element_orders
 from dng.errors import BudgetError, GeneratorCapError, NonAbelianError, NotNormalError
 from dng.groups import (
     Group,
@@ -23,7 +23,7 @@ from dng.groups import (
     quotient,
 )
 from dng import groups
-from dng.groupspec import build, parse_spec
+from dng.groupspec import build, check_order, parse_spec
 from dng.lattice import frattini
 
 
@@ -340,6 +340,42 @@ def test_from_table_rejects_bad_tables():
     with pytest.raises(ValueError, match="associativity fails for a=1"):
         Group.from_table(_LOOP5, "loop", check_associativity=True)
     assert Group.from_table(_LOOP5, "loop", check_associativity=False).order == 5
+
+
+def test_catalog_tables_are_groups(catalog96):
+    for _, g in catalog96:
+        assert_valid_construction(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "S6",
+        "A6",
+        "S4 x S4",
+        "Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+        "Z3 x Z3 x Z3 x Z3 x Z3",
+        "D360",
+        "Dic180",
+        "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3 x Z3",
+    ],
+)
+def test_large_tables_are_groups(built, spec):
+    assert_valid_construction(built(spec))
+
+
+def test_memory_cap_refuses_before_building(monkeypatch):
+    """The largest order under ``MEMORY_CAP`` is built; one more is refused
+    by the spec's order and by each constructor, before any table exists."""
+    n = math.isqrt(groups.MEMORY_CAP // groups.BYTES_PER_CELL)
+    budget = 10 * n
+    assert check_order(parse_spec(f"Z{n}"), budget) == n
+    monkeypatch.setattr(np, "arange", None)  # any table would need it
+    for spec in [f"Z{n + 1}", f"Dih(Z{n // 2 + 1})", f"Z{n + 1} x Z1"]:
+        with pytest.raises(BudgetError, match="exceeding the memory cap of 1,024 MiB"):
+            build(parse_spec(spec), budget)
+    with pytest.raises(BudgetError, match=f"Dic{n // 4 + 1} has order"):
+        make_dicyclic(n // 4 + 1, budget)
 
 
 def test_is_abelian():

@@ -6,6 +6,7 @@ against the closure loops."""
 
 from _helpers import (
     ReferenceSearch,
+    assert_valid_construction,
     d_or_cap,
     reference_barnes_first_player_wins,
     reference_cyclic_mask,
@@ -90,6 +91,16 @@ _small_specs = st.recursive(
     ),
     max_leaves=3,
 ).filter(lambda spec: spec_order(spec) <= 48)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs)
+def test_constructed_tables_are_groups(spec):
+    try:
+        g = build(spec)
+    except NonAbelianError:
+        reject()
+    assert_valid_construction(g)
 
 
 @settings(max_examples=100, deadline=None)
