@@ -365,8 +365,9 @@ def test_large_tables_are_groups(built, spec):
 
 
 def test_memory_cap_refuses_before_building(monkeypatch):
-    """The largest order under ``MEMORY_CAP`` is built; one more is refused
-    by the spec's order and by each constructor, before any table exists."""
+    """The largest order under ``MEMORY_CAP`` passes the check; larger ones
+    are refused, by ``build`` and by a constructor called directly, before
+    any table exists."""
     n = math.isqrt(groups.MEMORY_CAP // groups.BYTES_PER_CELL)
     budget = 10 * n
     assert check_order(parse_spec(f"Z{n}"), budget) == n
