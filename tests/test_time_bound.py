@@ -64,9 +64,13 @@ def test_time_bound_gives_every_traceback_entry_a_line_number():
     """An entry without a line number, as a signal can leave one, would
     make pytest fail while it formats the report."""
     frame = _own_frame()
-    lasti = next(start for start, _, line in frame.f_code.co_lines() if line is None)
+    lines = frame.f_code.co_lines()
+    lasti = next((start for start, _, line in lines if line is None), None)
+    if lasti is None:
+        pytest.skip("every instruction of this interpreter's code has a line")
     lineless = types.TracebackType(None, frame, lasti, -1)
-    assert lineless.tb_lineno is None
+    if lineless.tb_lineno is not None:
+        pytest.skip("this interpreter gives every traceback entry a line")
     with pytest.raises(TimeBoundExceeded) as info:
         with time_bound(10):
             raise TimeBoundExceeded("stopped").with_traceback(lineless)
