@@ -19,9 +19,7 @@ from .classify import (
 )
 from .groups import (
     Group,
-    coset_ids,
     direct_product,
-    element_order,
     is_cyclic,
     make_alternating,
     make_cyclic,
@@ -41,7 +39,6 @@ from .lattice import (
     frattini,
     intersection_subgroups,
     maximal_subgroups,
-    smallest_intersection_containing,
 )
 from .oracle import OracleResult, brute_nim, brute_nim_table
 from .solver import (
@@ -77,10 +74,8 @@ __all__ = [
     "brute_nim_table",
     "build",
     "classify",
-    "coset_ids",
     "cyclic_formula",
     "direct_product",
-    "element_order",
     "emit_dot",
     "even_maximals_cover",
     "frattini",
@@ -104,7 +99,6 @@ __all__ = [
     "quotient",
     "real_element_disjunction",
     "simplify",
-    "smallest_intersection_containing",
     "solve_types",
     "structure_digraph",
     "type_multiset",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from .groupspec import parse_spec, spec_order
 
 #: Direct products and generalized dihedrals beyond the single-atom families.
@@ -39,10 +37,6 @@ def catalog_specs(max_order: int) -> list[str]:
     specs += [f"Z{n}" for n in range(2, max_order + 1)]
     specs += [f"D{n}" for n in range(2, max_order // 2 + 1)]
     specs += [f"Dic{n}" for n in range(2, max_order // 4 + 1)]
-    for n in range(3, 6):
-        if math.factorial(n) <= max_order:
-            specs.append(f"S{n}")
-        if math.factorial(n) // 2 <= max_order:
-            specs.append(f"A{n}")
-    specs += [s for s in _EXTRA_SPECS if spec_order(parse_spec(s)) <= max_order]
+    atoms = [f"{family}{n}" for n in range(3, 6) for family in "SA"]
+    specs += [s for s in [*atoms, *_EXTRA_SPECS] if spec_order(parse_spec(s)) <= max_order]
     return specs

@@ -10,7 +10,6 @@ from .errors import TrivialGroupError
 from .groups import (
     Group,
     closure_mask,
-    element_order,
     is_abelian,
     is_cyclic,
     is_normal,
@@ -158,7 +157,7 @@ def real_element_disjunction(g: Group, x: int) -> bool:
     """
     if g.order <= 2:
         raise ValueError("needs |g| > 2")
-    k = element_order(g, x)
+    k = g.element_orders[x]
     if k % 2 == 0:
         raise ValueError("x must have odd order")
     # inverting[t] iff t*x*t^-1 = x^-1

@@ -35,10 +35,6 @@ class GeneratorCapError(DngError):
         self.cap = cap
 
 
-class GeneratingSetError(DngError):
-    """A set that generates the whole group was used where a position is required."""
-
-
 class SpecSyntaxError(DngError):
     """Group-expression parse failure, with byte offset and expected tokens."""
 

@@ -11,10 +11,10 @@ the identity.  ``closure_mask`` and ``join_element`` generate subgroups by
 coset walks; ``min_generators`` instead reads d(G) off the breadth-first
 walk over which maximal subgroups contain each set (``lattice``).
 
-The constructors' tables are groups by construction: each is built with its
-inverses in closed form and is not validated when built.  The test suite
-runs ``_validate_table`` on them instead; at run time only ``from_table``, on
-a caller's table, and ``quotient`` validate.
+The constructors' tables, and the quotient's, are groups by construction:
+each is built with its inverses in closed form and is not validated when
+built.  The test suite runs ``_validate_table`` on them instead; at run time
+only ``from_table`` validates, on a caller's table.
 """
 
 from __future__ import annotations
@@ -42,16 +42,11 @@ ORDER_BUDGET = 720
 #: refused with BudgetError.
 MEMORY_CAP = 1 << 30
 
-#: Peak bytes per Cayley-table cell, measured: the int32 table (4 bytes),
-#: its Python column lists (8) and the object array they are read from (8)
-#: make 20; the int64 temporaries of the dicyclic and permutation
-#: constructors make 24.
-BYTES_PER_CELL = 24
-
-#: Orders up to this bound get the O(n^3) associativity check in
-#: ``Group.from_table`` by default.  Quotients are always checked regardless
-#: of order.
-ASSOC_CHECK_BOUND = 256
+#: Peak bytes per Cayley-table cell, measured and rounded up: the int32
+#: table (4 bytes), its Python column lists (8) and the object array they
+#: are read from (8) make 20, 20.3 on S6; the constructors' int32
+#: temporaries peak at 12 (Dic500) to 20 (S7).
+BYTES_PER_CELL = 21
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -142,20 +137,11 @@ class Group:
         return ids[self.table.T].tolist()
 
     @classmethod
-    def from_table(
-        cls,
-        table,
-        name: str,
-        *,
-        check_associativity: bool | None = None,
-    ) -> "Group":
-        """Build and validate a group from a raw Cayley table.
-
-        ``check_associativity=None`` runs the cubic check only for orders up
-        to ``ASSOC_CHECK_BOUND``; pass True/False to force either way.
-        """
+    def from_table(cls, table, name: str) -> "Group":
+        """Build a group from a raw Cayley table, with every check of
+        ``_validate_table``, the cubic associativity check among them."""
         t = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        inverses = _validate_table(t, check_associativity)
+        inverses = _validate_table(t)
         return cls(order=len(inverses), table=t, inverses=inverses, name=name)
 
     @classmethod
@@ -175,7 +161,7 @@ def _row_inverses(t: np.ndarray) -> np.ndarray:
     return np.argmax(t == 0, axis=1).astype(np.int32)
 
 
-def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarray:
+def _validate_table(t: np.ndarray) -> np.ndarray:
     """Check that ``t`` is a group table; return the inverse of each element."""
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise ValueError("Cayley table must be a nonempty square matrix")
@@ -189,13 +175,10 @@ def _validate_table(t: np.ndarray, check_associativity: bool | None) -> np.ndarr
         raise ValueError("some row is not a permutation of 0..n-1")
     if not (np.sort(t, axis=0) == ids[:, None]).all():
         raise ValueError("some column is not a permutation of 0..n-1")
-    if check_associativity is None:
-        check_associativity = n <= ASSOC_CHECK_BOUND
-    if check_associativity:
-        # (a*b)*c == a*(b*c), checked one row of a at a time to bound memory.
-        for a in range(n):
-            if not (t[t[a], :] == t[a][t]).all():
-                raise ValueError(f"associativity fails for a={a}")
+    # (a*b)*c == a*(b*c), checked one row of a at a time to bound memory.
+    for a in range(n):
+        if not (t[t[a], :] == t[a][t]).all():
+            raise ValueError(f"associativity fails for a={a}")
     return _row_inverses(t)
 
 
@@ -282,11 +265,12 @@ def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     check_budget([4, n], budget, f"Dic{n}")
     m = 2 * n  # order of <x>
     # element x^i y^j with id j*m + i, on axes (j, i) x (l, k):
-    # x^i y^j x^k y^l = x^(i + (-1)^j k) y^(j+l), and y^2 = x^n
-    j = np.arange(2)[:, None, None, None]
-    i = np.arange(m)[None, :, None, None]
-    l = np.arange(2)[None, None, :, None]
-    k = np.arange(m)[None, None, None, :]
+    # x^i y^j x^k y^l = x^(i + (-1)^j k) y^(j+l), and y^2 = x^n; int32 holds
+    # every exponent, as each lies between -m and 3m
+    j = np.arange(2, dtype=np.int32)[:, None, None, None]
+    i = np.arange(m, dtype=np.int32)[None, :, None, None]
+    l = np.arange(2, dtype=np.int32)[None, None, :, None]
+    k = np.arange(m, dtype=np.int32)[None, None, None, :]
     e = i + (1 - 2 * j) * k + n * j * l
     t = ((j + l) % 2 * m + e % m).reshape(2 * m, 2 * m)
     return Group._constructed(t, f"Dic{n}")
@@ -299,10 +283,11 @@ def _perm_parity(p: tuple) -> int:
 
 def _perm_group(perms: list[tuple], name: str) -> Group:
     """Group of the given permutations of 0..n-1; product p*q maps i to p[q[i]]."""
-    p = np.array(perms, dtype=np.int64)
+    p = np.array(perms, dtype=np.int32)
     n = p.shape[1]
-    # a permutation's code: its images as the digits of a base-n numeral
-    weights = (n ** np.arange(n - 1, -1, -1, dtype=np.int64)).tolist()
+    # a permutation's code: its images as the digits of a base-n numeral,
+    # below n^n.  int32 holds it: the memory cap refuses S8, and 7^7 < 2^31.
+    weights = (n ** np.arange(n - 1, -1, -1)).tolist()
     codes = sum(p[:, i] * w for i, w in enumerate(weights))
     # p[a]*p[b] maps i to p[a, p[b, i]]
     products = sum(p[:, p[:, i]] * w for i, w in enumerate(weights))
@@ -364,42 +349,29 @@ def _is_normal(g: Group, members: np.ndarray, inside: np.ndarray) -> bool:
     return bool(inside[g.table[g.table[:, members], g.inverses[:, None]]].all())
 
 
-def coset_ids(g: Group, sub) -> np.ndarray:
-    """Map each element to the id of its left coset; identity coset is 0.
-
-    Cosets are numbered by their least elements, ascending; row x of
-    ``table[:, members]`` is the coset xN.
-    """
-    return _coset_ids(g, _membership(g, sub)[0])
-
-
-def _coset_ids(g: Group, members: np.ndarray) -> np.ndarray:
-    least = g.table[:, members].min(axis=1)
-    return np.unique(least, return_inverse=True)[1]
-
-
 def quotient(g: Group, sub) -> Group:
-    """Quotient group on cosets of a normal subgroup."""
+    """Quotient group on the left cosets of a normal subgroup N, each coset
+    represented by its least element, the identity's first.
+
+    Its table is a group by construction, like the constructors', and is
+    not validated; only the divisor is checked.
+    """
     members, inside = _membership(g, sub)
     # a finite set that holds the identity and its products is a subgroup
     if not inside[0] or not inside[g.table[np.ix_(members, members)]].all():
         raise ValueError("quotient divisor is not a subgroup")
     if not _is_normal(g, members, inside):
         raise NotNormalError("quotient divisor is not normal")
-    cos = _coset_ids(g, members)
-    # the least element of each coset, in coset order
-    reps = np.unique(cos, return_index=True)[1]
-    t = cos[g.table[reps][:, reps]]
-    return Group.from_table(t, f"{g.name}/N{len(members)}", check_associativity=True)
+    # row x of table[:, members] is the coset xN; the distinct least
+    # elements are the representatives, ascending, and number the cosets
+    reps, cos = np.unique(g.table[:, members].min(axis=1), return_inverse=True)
+    cos = cos.astype(np.int32)
+    t = cos[g.table[np.ix_(reps, reps)]]
+    return Group._constructed(t, f"{g.name}/N{len(members)}", cos[g.inverses[reps]])
 
 
 # ---------------------------------------------------------------------------
 # Queries
-
-
-def element_order(g: Group, x: int) -> int:
-    """Least k >= 1 with x^k = identity."""
-    return g.element_orders[x]
 
 
 #: Turns a 0/1 bytearray into the ASCII digits of a binary numeral.

@@ -69,12 +69,11 @@ import functools
 from dataclasses import dataclass
 
 from .errors import (
-    GeneratingSetError,
     LatticeGuardError,
     SolverConsistencyError,
     TrivialGroupError,
 )
-from .groups import Group, bits, element_order, join_element, mask_of
+from .groups import Group, bits, join_element, mask_of
 
 #: Abort enumeration beyond this many subgroups (pathological 2-groups).
 SUBGROUP_GUARD = 20000
@@ -410,13 +409,6 @@ class Incidence:
             inc &= self.elements[x]
         return inc
 
-    def meet(self, inc: int) -> int:
-        """Intersection of the masks in a nonzero incidence."""
-        out = -1  # all ones
-        for i in bits(inc):
-            out &= self.masks[i]
-        return out
-
 
 @per_group
 def maximal_incidence(g: Group) -> Incidence:
@@ -543,24 +535,6 @@ def class_sizes(g: Group) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def smallest_intersection_containing(g: Group, s) -> Subgroup:
-    """Intersection of all maximal subgroups containing the set ``s``.
-
-    ``s`` may be an iterable of element ids or an int bitmask.  This is the
-    unique minimal intersection subgroup containing ``s``; raises
-    GeneratingSetError when no maximal subgroup contains ``s`` and
-    ValueError when ``s`` holds an element outside g.
-    """
-    mask = s if isinstance(s, int) else mask_of(s)
-    if mask < 0 or mask >> g.order:
-        raise ValueError(f"the set has elements outside {g.name}")
-    index = maximal_incidence(g)
-    inc = index.of(mask)
-    if not inc:
-        raise GeneratingSetError("the set generates the whole group")
-    return Subgroup(index.meet(inc))
-
-
 def even_maximals_cover(g: Group) -> bool:
     """True iff the union of even-order maximal subgroups is all of g."""
     u = 0
@@ -583,7 +557,7 @@ def largest_odd_normal_in_frattini(g: Group) -> Subgroup:
     every odd-order subgroup of the Frattini subgroup.
     """
     phi = frattini(g).mask
-    return Subgroup(mask_of(x for x in bits(phi) if element_order(g, x) % 2))
+    return Subgroup(mask_of(x for x in bits(phi) if g.element_orders[x] % 2))
 
 
 def lattice_dot(g: Group) -> str:

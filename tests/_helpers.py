@@ -10,7 +10,6 @@ from dng.groups import (
     _validate_table,
     bits,
     closure_mask,
-    element_order,
     join_element,
     mask_of,
 )
@@ -20,6 +19,7 @@ from dng.lattice import (
     _is_prime_power,
     all_subgroups,
     frattini,
+    incidence_poset,
     intersection_subgroups,
     maximal_incidence,
     maximal_subgroups,
@@ -45,7 +45,7 @@ def brute_force_subgroup_masks(g: Group) -> set[int]:
 
 
 def element_orders(g: Group) -> list[int]:
-    return sorted(element_order(g, x) for x in range(g.order))
+    return sorted(g.element_orders)
 
 
 def union_of_maximals(g: Group) -> int:
@@ -290,13 +290,26 @@ def reference_dicyclic_table(n: int) -> list[list[int]]:
     return t
 
 
+#: Orders up to this bound get the cubic associativity check here; a table
+#: of order 720 takes 1.6-1.9 s.
+ASSOC_CHECK_BOUND = 256
+
+
 def assert_valid_construction(g: Group) -> None:
-    """The check a constructor skips: its table is C-contiguous int32 and
-    passes ``_validate_table`` as ``Group.from_table`` runs it (associativity
-    up to ``ASSOC_CHECK_BOUND``), and its closed-form inverses are the
-    validated ones."""
-    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous, g.name
-    inverses = _validate_table(g.table, None)
+    """The check a constructor and the quotient skip: the table is
+    C-contiguous int32 and passes ``_validate_table``, and its closed-form
+    inverses are the validated ones.  Above ``ASSOC_CHECK_BOUND`` the table
+    is checked as ``_validate_table`` checks it but for associativity."""
+    t = g.table
+    assert t.dtype == np.int32 and t.flags.c_contiguous, g.name
+    if g.order <= ASSOC_CHECK_BOUND:
+        inverses = _validate_table(t)
+    else:
+        ids = np.arange(g.order)
+        assert (t[0] == ids).all() and (t[:, 0] == ids).all(), g.name
+        assert (np.sort(t, axis=1) == ids).all(), g.name
+        assert (np.sort(t, axis=0) == ids[:, None]).all(), g.name
+        inverses = reference_inverses(t)
     assert g.inverses.dtype == np.int32, g.name
     assert np.array_equal(g.inverses, inverses), g.name
 
@@ -358,6 +371,13 @@ class ReferenceSearch:
             result += 1
         self.memo[p] = result
         return result
+
+
+def keyed_intersection(g: Group, mask: int) -> int:
+    """The smallest intersection of maximal subgroups holding the set
+    ``mask``, looked up by its maximal incidence in the keyed poset;
+    KeyError when the set generates g (its incidence is 0)."""
+    return incidence_poset(g).masks[maximal_incidence(g).of(mask)]
 
 
 def reference_smallest_intersection(maximals: list[int], s: int) -> int | None:
@@ -450,7 +470,7 @@ def reference_quotient_table(g: Group, mask: int) -> list[list[int]]:
 def reference_real_element_disjunction(g: Group, x: int) -> bool:
     """For a real odd-order x: some proper even subgroup contains x, or g is
     the dihedral extension of <x>."""
-    k = element_order(g, x)
+    k = g.element_orders[x]
     t = g.table.tolist()
     xinv = int(g.inverses[x])
     full = g.full_mask

@@ -17,7 +17,6 @@ from dng.classify import (
 from dng.errors import TrivialGroupError
 from dng.groups import (
     closure_mask,
-    element_order,
     is_cyclic,
     make_cyclic,
     make_dicyclic,
@@ -161,7 +160,7 @@ def test_quaternion_prediction():
 
 def test_real_element_s3():
     s3 = make_symmetric(3)
-    x = next(i for i in range(s3.order) if element_order(s3, i) == 3)
+    x = s3.element_orders.index(3)
     assert real_element_disjunction(s3, x)
 
 
@@ -200,7 +199,7 @@ def test_zero_iff_covering(catalog24, oracle_nims24):
         odd_wrapped = all(
             any(s.mask >> x & 1 for s in subs)
             for x in range(g.order)
-            if element_order(g, x) % 2 == 1
+            if g.element_orders[x] % 2 == 1
         )
         assert cover == odd_wrapped == (oracle_nims24[name] == 0)
 

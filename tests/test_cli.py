@@ -445,7 +445,7 @@ def test_closed_pipe_exits_1_without_a_traceback():
 
 
 def test_memory_cap_exits_3_under_an_address_space_limit():
-    """Z30000's tables would need about 20 GiB: under a 1.5 GB limit on the
+    """Z30000's tables would need about 18 GiB: under a 1.5 GB limit on the
     child's address space it is refused at once, with exit 3 and one error
     line, not a traceback from the allocation.  Z2000, below the cap, runs
     under the same limit."""
@@ -464,7 +464,7 @@ def test_memory_cap_exits_3_under_an_address_space_limit():
     proc = analyze("Z30000")
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
-        "error: Z30000 has order 30000, whose tables need about 20,600 MiB, "
+        "error: Z30000 has order 30000, whose tables need about 18,025 MiB, "
         "exceeding the memory cap of 1,024 MiB\n"
     )
     proc = analyze("Z2000")

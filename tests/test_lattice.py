@@ -1,7 +1,7 @@
 import pytest
 
-from _helpers import brute_force_subgroup_masks, union_of_maximals
-from dng.errors import GeneratingSetError, LatticeGuardError, TrivialGroupError
+from _helpers import brute_force_subgroup_masks, keyed_intersection, union_of_maximals
+from dng.errors import LatticeGuardError, TrivialGroupError
 from dng.groups import (
     bits,
     closure_mask,
@@ -22,8 +22,8 @@ from dng.lattice import (
     intersection_subgroups,
     largest_odd_normal_in_frattini,
     lattice_dot,
+    maximal_incidence,
     maximal_subgroups,
-    smallest_intersection_containing,
 )
 
 
@@ -179,32 +179,27 @@ def test_intersection_closed_and_bottom_minimal():
 def test_smallest_intersection_of_empty_set_is_frattini():
     for spec in ["A4", "Z12", "S3"]:
         g = build(parse_spec(spec))
-        assert smallest_intersection_containing(g, ()).mask == frattini(g).mask
+        assert keyed_intersection(g, 0) == frattini(g).mask
 
 
 def test_smallest_intersection_of_maximal_is_itself():
     g = make_symmetric(4)
     for m in maximal_subgroups(g):
-        assert smallest_intersection_containing(g, m.mask).mask == m.mask
+        assert keyed_intersection(g, m.mask) == m.mask
 
 
 def test_smallest_intersection_of_three_cycle():
     a4 = make_alternating(4)
     x = next(i for i in range(a4.order) if closure_mask(a4, 1 << i).bit_count() == 3)
-    found = smallest_intersection_containing(a4, [x])
-    assert found.order == 3 and x in found
+    found = keyed_intersection(a4, 1 << x)
+    assert found.bit_count() == 3 and found >> x & 1
 
 
 def test_smallest_intersection_rejects_generating_set():
     g = make_cyclic(6)
-    with pytest.raises(GeneratingSetError):
-        smallest_intersection_containing(g, [1])
-
-
-@pytest.mark.parametrize("s", [[7], [0, 6], 1 << 6, -1])
-def test_smallest_intersection_rejects_elements_outside_the_group(s):
-    with pytest.raises(ValueError, match="outside"):
-        smallest_intersection_containing(make_symmetric(3), s)
+    assert maximal_incidence(g).of(1 << 1) == 0
+    with pytest.raises(KeyError):
+        keyed_intersection(g, 1 << 1)
 
 
 def test_covering_predicates():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _helpers import keyed_intersection
 from dng import oracle
 from dng.errors import (
     OracleBudgetError,
@@ -11,11 +12,7 @@ from dng.errors import (
 )
 from dng.groups import make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
-from dng.lattice import (
-    class_sizes,
-    maximal_subgroups,
-    smallest_intersection_containing,
-)
+from dng.lattice import class_sizes, maximal_subgroups
 from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import mex
 
@@ -266,7 +263,7 @@ def test_uniformity_on_small_groups():
         table = brute_nim_table(g)
         cells = {}
         for p, nim in table.items():
-            key = (smallest_intersection_containing(g, p).mask, p.bit_count() % 2)
+            key = (keyed_intersection(g, p), p.bit_count() % 2)
             cells.setdefault(key, set()).add(nim)
         assert all(len(v) == 1 for v in cells.values())
 
@@ -278,7 +275,7 @@ def test_class_option_compatibility():
         maximals = [m.mask for m in maximal_subgroups(g)]
         reachable = {}
         for p in brute_nim_table(g):
-            cls = smallest_intersection_containing(g, p).mask
+            cls = keyed_intersection(g, p)
             opts = set()
             cover = 0
             for m in maximals:
@@ -286,7 +283,7 @@ def test_class_option_compatibility():
                     cover |= m
             for x in range(g.order):
                 if cover >> x & 1 and not p >> x & 1:
-                    opts.add(smallest_intersection_containing(g, p | 1 << x).mask)
+                    opts.add(keyed_intersection(g, p | 1 << x))
             reachable.setdefault(cls, set()).add(frozenset(opts - {cls}))
         assert all(len(v) == 1 for v in reachable.values())
 

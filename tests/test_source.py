@@ -1,8 +1,9 @@
 """Source checks: the package makes no BLAS call and reads no environment
 variable, none of the three routes imports another, the lattice does not
-import numpy, only the closure and the enumeration call the coset join, the
-spec module writes each family's prefix once, and every public definition is
-read inside the package or exported.
+import numpy, only the closure and the enumeration call the coset join, only
+``Group.from_table`` validates a table, the spec module writes each family's
+prefix once, and every public definition is read inside the package or
+exported.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
@@ -12,7 +13,9 @@ classifier, the structure solver and the oracle are three independent routes
 to the nim-number, so none may lean on another's code.  The lattice answers
 containment with Python ints, so only the group tables and the oracle's
 sweep need numpy.  Every other question of what a set generates goes
-through ``closure_mask``.  The parser, the printer, the order check and the
+through ``closure_mask``.  The constructors and the quotient build groups by
+construction, so a table is validated at run time only when a caller hands
+one to ``Group.from_table``.  The parser, the printer, the order check and the
 builder read each family from one table, so a family is one table row.  A
 helper that only tests call belongs in the tests.
 """
@@ -152,18 +155,22 @@ def test_lattice_imports_nothing_from_numpy():
 
 
 def _callers_of(tree: ast.AST, name: str) -> list[str]:
-    """The top-level definitions that call ``name``, by plain or dotted name;
-    a call outside any definition counts as ``<module>``."""
-    found = []
+    """The top-level definitions, and each class's members as
+    ``Class.member``, that call ``name`` by plain or dotted name; a call
+    outside any definition counts as ``<module>``."""
+    units = []
     for top in tree.body:
-        caller = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and name in {
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None),
-            }:
-                found.append(caller)
-    return found
+        if isinstance(top, ast.ClassDef):
+            units += [(f"{top.name}.{getattr(s, 'name', '<body>')}", s) for s in top.body]
+        else:
+            units.append((getattr(top, "name", "<module>"), top))
+    return [
+        caller
+        for caller, unit in units
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call)
+        and name in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
 
 
 def test_check_sees_join_calls():
@@ -181,6 +188,30 @@ def test_only_the_closure_and_the_enumeration_join():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= {f"{path.stem}.{c}" for c in _callers_of(tree, "join_element")}
     assert found == {"groups.closure_mask", "lattice._enumerate"}
+
+
+def test_check_sees_method_calls():
+    src = (
+        "class G:\n    x = _validate_table(t)\n"
+        "    @classmethod\n    def from_table(cls, t):\n        return _validate_table(t)\n"
+        "def quotient(g):\n    return G.from_table(t)\n"
+    )
+    tree = ast.parse(src)
+    assert _callers_of(tree, "_validate_table") == ["G.<body>", "G.from_table"]
+    assert _callers_of(tree, "from_table") == ["quotient"]
+
+
+def test_only_from_table_validates_and_nothing_calls_it():
+    """Only ``Group.from_table`` runs ``_validate_table``, and no package
+    code builds a group through ``from_table``: its tables are groups by
+    construction."""
+    validators, from_table = set(), set()
+    for path in Path(dng.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        validators |= {f"{path.stem}.{c}" for c in _callers_of(tree, "_validate_table")}
+        from_table |= {f"{path.stem}.{c}" for c in _callers_of(tree, "from_table")}
+    assert validators == {"groups.Group.from_table"}
+    assert from_table == set()
 
 
 #: The grammar prefixes of the atom families.
