@@ -7,11 +7,16 @@ human-readable report when run with ``pytest -s``.
 import pathlib
 import time
 
-from _helpers import keyed_intersection, matrix_group_2x2, union_of_maximals
+from _helpers import matrix_group_2x2, union_of_maximals
 from dng.classify import barnes_first_player_wins, classify
 from dng.groups import is_cyclic, make_cyclic, quotient
 from dng.groupspec import build, parse_spec
-from dng.lattice import all_maximals_even, largest_odd_normal_in_frattini
+from dng.lattice import (
+    all_maximals_even,
+    incidence_poset,
+    largest_odd_normal_in_frattini,
+    maximal_incidence,
+)
 from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import (
     SPECTRUM,
@@ -111,8 +116,9 @@ def test_criterion_4_uniformity(catalog24):
     for name, g in small:
         d = solve_types(structure_digraph(g))
         by_mask = {node.mask: t for node, t in zip(d.nodes, d.types)}
+        masks, index = incidence_poset(g).masks, maximal_incidence(g)
         for p, nim in brute_nim_table(g).items():
-            cls = keyed_intersection(g, p)
+            cls = masks[index.of(p)]
             parity = p.bit_count() % 2
             if nim != by_mask[cls].component(parity):
                 bad.append(f"{name}: position {p:#x}")

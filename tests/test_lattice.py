@@ -1,6 +1,6 @@
 import pytest
 
-from _helpers import brute_force_subgroup_masks, keyed_intersection, union_of_maximals
+from _helpers import brute_force_subgroup_masks, union_of_maximals
 from dng.errors import LatticeGuardError, TrivialGroupError
 from dng.groups import (
     bits,
@@ -19,6 +19,7 @@ from dng.lattice import (
     all_subgroups,
     even_maximals_cover,
     frattini,
+    incidence_poset,
     intersection_subgroups,
     largest_odd_normal_in_frattini,
     lattice_dot,
@@ -179,27 +180,28 @@ def test_intersection_closed_and_bottom_minimal():
 def test_smallest_intersection_of_empty_set_is_frattini():
     for spec in ["A4", "Z12", "S3"]:
         g = build(parse_spec(spec))
-        assert keyed_intersection(g, 0) == frattini(g).mask
+        assert incidence_poset(g).masks[maximal_incidence(g).of(0)] == frattini(g).mask
 
 
 def test_smallest_intersection_of_maximal_is_itself():
     g = make_symmetric(4)
+    masks, index = incidence_poset(g).masks, maximal_incidence(g)
     for m in maximal_subgroups(g):
-        assert keyed_intersection(g, m.mask) == m.mask
+        assert masks[index.of(m.mask)] == m.mask
 
 
 def test_smallest_intersection_of_three_cycle():
     a4 = make_alternating(4)
     x = next(i for i in range(a4.order) if closure_mask(a4, 1 << i).bit_count() == 3)
-    found = keyed_intersection(a4, 1 << x)
+    found = incidence_poset(a4).masks[maximal_incidence(a4).of(1 << x)]
     assert found.bit_count() == 3 and found >> x & 1
 
 
 def test_smallest_intersection_rejects_generating_set():
+    # a generating set's incidence is 0, which keys no member
     g = make_cyclic(6)
     assert maximal_incidence(g).of(1 << 1) == 0
-    with pytest.raises(KeyError):
-        keyed_intersection(g, 1 << 1)
+    assert 0 not in incidence_poset(g).masks
 
 
 def test_covering_predicates():

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import keyed_intersection
 from dng import oracle
 from dng.errors import (
     OracleBudgetError,
@@ -12,7 +11,7 @@ from dng.errors import (
 )
 from dng.groups import make_cyclic, make_symmetric
 from dng.groupspec import build, parse_spec
-from dng.lattice import class_sizes, maximal_subgroups
+from dng.lattice import class_sizes, incidence_poset, maximal_incidence, maximal_subgroups
 from dng.oracle import brute_nim, brute_nim_table
 from dng.solver import mex
 
@@ -261,9 +260,11 @@ def test_uniformity_on_small_groups():
     for spec in ["S3", "A4", "Z12", "Dic2"]:
         g = build(parse_spec(spec))
         table = brute_nim_table(g)
+        # each position's smallest enclosing intersection, keyed by incidence
+        masks, index = incidence_poset(g).masks, maximal_incidence(g)
         cells = {}
         for p, nim in table.items():
-            key = (keyed_intersection(g, p), p.bit_count() % 2)
+            key = (masks[index.of(p)], p.bit_count() % 2)
             cells.setdefault(key, set()).add(nim)
         assert all(len(v) == 1 for v in cells.values())
 
@@ -273,9 +274,10 @@ def test_class_option_compatibility():
     for spec in ["S3", "Z12", "A4", "Dic2", "Z6 x Z2"]:
         g = build(parse_spec(spec))
         maximals = [m.mask for m in maximal_subgroups(g)]
+        masks, index = incidence_poset(g).masks, maximal_incidence(g)
         reachable = {}
         for p in brute_nim_table(g):
-            cls = keyed_intersection(g, p)
+            cls = masks[index.of(p)]
             opts = set()
             cover = 0
             for m in maximals:
@@ -283,7 +285,7 @@ def test_class_option_compatibility():
                     cover |= m
             for x in range(g.order):
                 if cover >> x & 1 and not p >> x & 1:
-                    opts.add(keyed_intersection(g, p | 1 << x))
+                    opts.add(masks[index.of(p | 1 << x)])
             reachable.setdefault(cls, set()).add(frozenset(opts - {cls}))
         assert all(len(v) == 1 for v in reachable.values())
 

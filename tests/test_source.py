@@ -157,7 +157,8 @@ def test_lattice_imports_nothing_from_numpy():
 def _callers_of(tree: ast.AST, name: str) -> list[str]:
     """The top-level definitions, and each class's members as
     ``Class.member``, that call ``name`` by plain or dotted name; a call
-    outside any definition counts as ``<module>``."""
+    outside any definition counts as ``<module>``, one in a class body
+    outside its members as ``Class.<body>``."""
     units = []
     for top in tree.body:
         if isinstance(top, ast.ClassDef):
