@@ -32,7 +32,6 @@ from .groups import (
 from .groupspec import GroupSpec, build, parse_spec, print_spec
 from .lattice import (
     IntersectionPoset,
-    Subgroup,
     all_maximals_even,
     all_subgroups,
     even_maximals_cover,
@@ -65,7 +64,6 @@ __all__ = [
     "Rule",
     "SimplifiedDiagram",
     "StructureDigraph",
-    "Subgroup",
     "TypeTriple",
     "all_maximals_even",
     "all_subgroups",

@@ -59,7 +59,7 @@ def classify(g: Group) -> Classification:
         nim, rule = 1, Rule.SIZE2
     elif g.order % 2 == 1:
         nim, rule = 1, Rule.ODD_ORDER
-    elif frattini(g).is_even:
+    elif frattini(g).bit_count() % 2 == 0:
         nim, rule = 0, Rule.EVEN_FRATTINI
     elif all_maximals_even(g):
         nim, rule = 0, Rule.ALL_MAXIMALS_EVEN
@@ -165,7 +165,7 @@ def real_element_disjunction(g: Group, x: int) -> bool:
     if not inverting.any():
         raise ValueError("x is not real")
     # a proper even subgroup lies in a maximal one, whose order is then even
-    if any(m.is_even and x in m for m in maximal_subgroups(g)):
+    if any(m.bit_count() % 2 == 0 and m >> x & 1 for m in maximal_subgroups(g)):
         return True
     if g.order == 2 * k:
         for u in inverting.nonzero()[0].tolist():

@@ -113,7 +113,7 @@ def _build_group(spec_text: str, max_order: int, mod_frattini: bool) -> Group:
     g = build(_checked_spec(spec_text, max_order), budget=max_order)
     if mod_frattini:
         n = largest_odd_normal_in_frattini(g)
-        if n.order > 1:
+        if n != 1:
             g = quotient(g, n)
     return g
 

@@ -1,9 +1,9 @@
 """Small finite groups represented by dense Cayley tables.
 
 Elements are ids ``0..n-1`` with the identity fixed at id 0.  Subsets of a
-group are passed around as int bitmasks (bit ``x`` set means element ``x``
-is in the set), which keeps subgroup and position handling uniform across
-the package.
+group, subgroups among them, are int bitmasks (bit ``x`` set means element
+``x`` is in the set) everywhere in the package: a subgroup's order is its
+mask's ``bit_count()`` and ``mask >> x & 1`` tests membership.
 
 The order of every element and the cyclic subgroup it generates are read off
 one walk per cyclic subgroup, which multiplies its least generator in until
@@ -11,10 +11,10 @@ the identity.  ``closure_mask`` and ``join_element`` generate subgroups by
 coset walks; ``min_generators`` instead reads d(G) off the breadth-first
 walk over which maximal subgroups contain each set (``lattice``).
 
-The constructors' tables, and the quotient's, are groups by construction:
-each is built with its inverses in closed form and is not validated when
-built.  The test suite runs ``_validate_table`` on them instead; at run time
-only ``from_table`` validates, on a caller's table.
+The constructors' tables, and the quotient's, are groups by construction
+and are not validated when built; every group reads its inverses off its
+table on first use.  The test suite runs ``_validate_table`` on them
+instead; at run time only ``from_table`` validates, on a caller's table.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class Group:
 
     order: int
     table: np.ndarray
-    inverses: np.ndarray
     name: str
     #: ``lattice.per_group`` results, keyed by function
     derived: dict = field(default_factory=dict, repr=False)
@@ -129,6 +128,11 @@ class Group:
         return self._cyclic[2]
 
     @functools.cached_property
+    def inverses(self) -> np.ndarray:
+        """The inverse of each element, int32."""
+        return _row_inverses(self.table)
+
+    @functools.cached_property
     def columns(self) -> list[list[int]]:
         """``columns[b][a]`` is the id of a*b, as Python lists."""
         # the entries share one int object per id at any order: 8 bytes
@@ -141,18 +145,15 @@ class Group:
         """Build a group from a raw Cayley table, with every check of
         ``_validate_table``, the cubic associativity check among them."""
         t = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        inverses = _validate_table(t)
-        return cls(order=len(inverses), table=t, inverses=inverses, name=name)
+        _validate_table(t)
+        return cls(order=len(t), table=t, name=name)
 
     @classmethod
-    def _constructed(cls, table, name: str, inverses=None) -> "Group":
+    def _constructed(cls, table, name: str) -> "Group":
         """A constructor's table, a group by construction, made C-contiguous
-        int32 without validation.  ``inverses`` default to the column of the
-        identity in each row."""
+        int32 without validation."""
         t = np.ascontiguousarray(table, dtype=np.int32)
-        if inverses is None:
-            inverses = _row_inverses(t)
-        return cls(order=len(t), table=t, inverses=inverses, name=name)
+        return cls(order=len(t), table=t, name=name)
 
 
 def _row_inverses(t: np.ndarray) -> np.ndarray:
@@ -161,8 +162,8 @@ def _row_inverses(t: np.ndarray) -> np.ndarray:
     return np.argmax(t == 0, axis=1).astype(np.int32)
 
 
-def _validate_table(t: np.ndarray) -> np.ndarray:
-    """Check that ``t`` is a group table; return the inverse of each element."""
+def _validate_table(t: np.ndarray) -> None:
+    """Raise ValueError unless ``t`` is a group table."""
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise ValueError("Cayley table must be a nonempty square matrix")
     n = t.shape[0]
@@ -179,7 +180,6 @@ def _validate_table(t: np.ndarray) -> np.ndarray:
     for a in range(n):
         if not (t[t[a], :] == t[a][t]).all():
             raise ValueError(f"associativity fails for a={a}")
-    return _row_inverses(t)
 
 
 def capped_product(factors: Iterable[int | None], cap: int | None = None) -> int | None:
@@ -229,7 +229,7 @@ def make_cyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
     ids = np.arange(n, dtype=np.int32)
     t = ids[:, None] + ids  # below 2n, so one subtraction of n reduces it
     np.subtract(t, n, out=t, where=t >= n)
-    return Group._constructed(t, f"Z{n}", (n - ids) % n)
+    return Group._constructed(t, f"Z{n}")
 
 
 def is_abelian(g: Group) -> bool:
@@ -253,9 +253,7 @@ def make_generalized_dihedral(a: Group, budget: int = ORDER_BUDGET) -> Group:
     t[:m, m:] = ta + m
     t[m:, :m] = tinv + m
     t[m:, m:] = tinv
-    # each reflection is its own inverse
-    inverses = np.concatenate([a.inverses, np.arange(m, 2 * m, dtype=np.int32)])
-    return Group._constructed(t, f"Dih({a.name})", inverses)
+    return Group._constructed(t, f"Dih({a.name})")
 
 
 def make_dicyclic(n: int, budget: int = ORDER_BUDGET) -> Group:
@@ -318,8 +316,7 @@ def direct_product(g: Group, h: Group, budget: int = ORDER_BUDGET) -> Group:
     """Component-wise product on pairs, flattened to ids (a, b) -> a*|h|+b."""
     n = check_budget([g.order, h.order], budget, f"{g.name} x {h.name}")
     t = (g.table[:, None, :, None] * h.order + h.table[None, :, None, :]).reshape(n, n)
-    inverses = (g.inverses[:, None] * h.order + h.inverses[None, :]).ravel()
-    return Group._constructed(t, f"{g.name} x {h.name}", inverses)
+    return Group._constructed(t, f"{g.name} x {h.name}")
 
 
 def _check_mask(g: Group, mask: int) -> None:
@@ -328,20 +325,19 @@ def _check_mask(g: Group, mask: int) -> None:
         raise ValueError(f"the mask has bits outside the elements of {g.name}")
 
 
-def _membership(g: Group, sub) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in a Subgroup or int bitmask, ascending, and one flag per element."""
-    mask = getattr(sub, "mask", sub)
+def _membership(g: Group, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in an int bitmask, ascending, and one flag per element."""
     if not isinstance(mask, int):
-        raise TypeError("expected a Subgroup or an int bitmask")
+        raise TypeError("expected an int bitmask")
     _check_mask(g, mask)
     raw = np.frombuffer(mask.to_bytes(-(-g.order // 8), "little"), dtype=np.uint8)
     inside = np.unpackbits(raw, count=g.order, bitorder="little").view(bool)
     return np.flatnonzero(inside), inside
 
 
-def is_normal(g: Group, sub) -> bool:
-    """True iff x*N*x^-1 = N for every x in g."""
-    return _is_normal(g, *_membership(g, sub))
+def is_normal(g: Group, mask: int) -> bool:
+    """True iff x*N*x^-1 = N for every x in g, N the subgroup ``mask``."""
+    return _is_normal(g, *_membership(g, mask))
 
 
 def _is_normal(g: Group, members: np.ndarray, inside: np.ndarray) -> bool:
@@ -349,14 +345,14 @@ def _is_normal(g: Group, members: np.ndarray, inside: np.ndarray) -> bool:
     return bool(inside[g.table[g.table[:, members], g.inverses[:, None]]].all())
 
 
-def quotient(g: Group, sub) -> Group:
-    """Quotient group on the left cosets of a normal subgroup N, each coset
-    represented by its least element, the identity's first.
+def quotient(g: Group, mask: int) -> Group:
+    """Quotient group on the left cosets of a normal subgroup N, given by its
+    mask, each coset represented by its least element, the identity's first.
 
     Its table is a group by construction, like the constructors', and is
     not validated; only the divisor is checked.
     """
-    members, inside = _membership(g, sub)
+    members, inside = _membership(g, mask)
     # a finite set that holds the identity and its products is a subgroup
     if not inside[0] or not inside[g.table[np.ix_(members, members)]].all():
         raise ValueError("quotient divisor is not a subgroup")
@@ -367,7 +363,7 @@ def quotient(g: Group, sub) -> Group:
     reps, cos = np.unique(g.table[:, members].min(axis=1), return_inverse=True)
     cos = cos.astype(np.int32)
     t = cos[g.table[np.ix_(reps, reps)]]
-    return Group._constructed(t, f"{g.name}/N{len(members)}", cos[g.inverses[reps]])
+    return Group._constructed(t, f"{g.name}/N{len(members)}")
 
 
 # ---------------------------------------------------------------------------

@@ -79,24 +79,6 @@ from .groups import Group, bits, join_element, mask_of
 SUBGROUP_GUARD = 20000
 
 
-@dataclass(frozen=True, order=True)
-class Subgroup:
-    """Bit-set of element ids closed under the group operation."""
-
-    mask: int
-
-    @property
-    def order(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_even(self) -> bool:
-        return self.order % 2 == 0
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-
 @dataclass
 class IntersectionPoset:
     """All intersections of nonempty sets of maximal subgroups, numbered by
@@ -108,7 +90,7 @@ class IntersectionPoset:
     overgroup.  Moves that reach a generating set are left out.
     """
 
-    members: tuple[Subgroup, ...]  # sorted by (order, mask); the first is Frattini
+    members: tuple[int, ...]  # masks by (order, mask); the first is Frattini
     successors: tuple[tuple[int, ...], ...]
 
 
@@ -143,10 +125,8 @@ def per_group(fn):
     return once
 
 
-def _sorted_subgroups(masks) -> tuple[Subgroup, ...]:
-    return tuple(
-        Subgroup(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))
-    )
+def _sorted_subgroups(masks) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def _least_prime(k: int) -> int:
@@ -355,7 +335,7 @@ def _enumerate(
 
 
 @per_group
-def _lattice(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
+def _lattice(g: Group) -> tuple[set[int], tuple[int, ...]]:
     """The masks of all subgroups, unsorted, and the maximal subgroups, sorted
     by (order, mask).  The classes are not kept: on Z2^6 they would triple
     the memory this result holds."""
@@ -364,13 +344,14 @@ def _lattice(g: Group) -> tuple[set[int], tuple[Subgroup, ...]]:
 
 
 @per_group
-def all_subgroups(g: Group) -> tuple[Subgroup, ...]:
-    """Every subgroup of g, sorted by (order, mask)."""
+def all_subgroups(g: Group) -> tuple[int, ...]:
+    """The mask of every subgroup of g, sorted by (order, mask)."""
     return _sorted_subgroups(_lattice(g)[0])
 
 
-def maximal_subgroups(g: Group) -> list[Subgroup]:
-    """Proper subgroups maximal under inclusion, sorted by (order, mask)."""
+def maximal_subgroups(g: Group) -> list[int]:
+    """The masks of the proper subgroups maximal under inclusion, sorted by
+    (order, mask)."""
     if g.order < 2:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     return list(_lattice(g)[1])
@@ -416,15 +397,15 @@ def maximal_incidence(g: Group) -> Incidence:
 
     An incidence is 0 exactly when its set generates g.
     """
-    return Incidence.over([m.mask for m in maximal_subgroups(g)], g.order)
+    return Incidence.over(maximal_subgroups(g), g.order)
 
 
-def frattini(g: Group) -> Subgroup:
-    """Intersection of all maximal subgroups."""
+def frattini(g: Group) -> int:
+    """The mask of the intersection of all maximal subgroups."""
     inter = g.full_mask
     for m in maximal_subgroups(g):
-        inter &= m.mask
-    return Subgroup(inter)
+        inter &= m
+    return inter
 
 
 def _walk(index: Incidence) -> tuple[dict[int, tuple[int, ...]], int]:
@@ -509,7 +490,7 @@ def intersection_subgroups(g: Group) -> IntersectionPoset:
     order = sorted(masks, key=lambda inc: (masks[inc].bit_count(), masks[inc]))
     at = {inc: i for i, inc in enumerate(order)}
     return IntersectionPoset(
-        members=tuple(Subgroup(masks[inc]) for inc in order),
+        members=tuple(masks[inc] for inc in order),
         successors=tuple(
             tuple(sorted(map(at.__getitem__, poset.moves[inc]))) for inc in order
         ),
@@ -539,16 +520,16 @@ def even_maximals_cover(g: Group) -> bool:
     """True iff the union of even-order maximal subgroups is all of g."""
     u = 0
     for m in maximal_subgroups(g):
-        if m.is_even:
-            u |= m.mask
+        if m.bit_count() % 2 == 0:
+            u |= m
     return u == g.full_mask
 
 
 def all_maximals_even(g: Group) -> bool:
-    return all(m.is_even for m in maximal_subgroups(g))
+    return all(m.bit_count() % 2 == 0 for m in maximal_subgroups(g))
 
 
-def largest_odd_normal_in_frattini(g: Group) -> Subgroup:
+def largest_odd_normal_in_frattini(g: Group) -> int:
     """Largest odd-order normal subgroup contained in the Frattini subgroup.
 
     The Frattini subgroup is nilpotent (Frattini's theorem), so its
@@ -556,8 +537,7 @@ def largest_odd_normal_in_frattini(g: Group) -> Subgroup:
     characteristic in the Frattini subgroup, hence normal in g, and holds
     every odd-order subgroup of the Frattini subgroup.
     """
-    phi = frattini(g).mask
-    return Subgroup(mask_of(x for x in bits(phi) if g.element_orders[x] % 2))
+    return mask_of(x for x in bits(frattini(g)) if g.element_orders[x] % 2)
 
 
 def lattice_dot(g: Group) -> str:
@@ -569,10 +549,10 @@ def lattice_dot(g: Group) -> str:
     subs = all_subgroups(g)
     lines = ["digraph lattice {", "  // format: dng-lattice-v1"]
     for i, s in enumerate(subs):
-        lines.append(f'  n{i} [label="{s.order}"];')
+        lines.append(f'  n{i} [label="{s.bit_count()}"];')
     # a subgroup's incidence is its containers, itself among them
-    index = Incidence.over([s.mask for s in subs], g.order)
-    containers = [index.of(s.mask) for s in subs]
+    index = Incidence.over(subs, g.order)
+    containers = [index.of(s) for s in subs]
     edges = []
     for j, c in enumerate(containers):
         # The least container left is a cover of subs[j]: subs is sorted by

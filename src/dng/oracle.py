@@ -171,7 +171,7 @@ def _sweep(g: Group, budget: int) -> _Sweep:
     4. SolverConsistencyError, before the stacks are allocated, when the
        maximals own a different number of positions than predicted.
     """
-    masks = [m.mask for m in maximal_subgroups(g)]
+    masks = maximal_subgroups(g)
     top = max(m.bit_count() for m in masks)
     if 1 << top > budget:
         raise OracleBudgetError(

@@ -37,12 +37,7 @@ from typing import Union
 
 from .errors import SolverConsistencyError, TrivialGroupError
 from .groups import Group, bits
-from .lattice import (
-    Subgroup,
-    incidence_poset,
-    intersection_subgroups,
-    maximal_incidence,
-)
+from .lattice import incidence_poset, intersection_subgroups, maximal_incidence
 
 
 @dataclass(frozen=True, order=True)
@@ -73,13 +68,14 @@ class StructureDigraph:
 
     The numbered form of the poset that ``solve`` reads keyed by incidence,
     for the structure diagram and the library API.  Nodes are sorted
-    ascending by (order, mask), so node 0 is the Frattini subgroup.
+    ascending by (order, mask), so node 0 is the Frattini subgroup; each
+    node is its subgroup's mask.
     ``successors[i]`` lists node i's option nodes, ascending; each edge
     (i, j) strictly increases the subgroup, hence the digraph is acyclic and
     the source has no incoming edges.
     """
 
-    nodes: tuple[Subgroup, ...]
+    nodes: tuple[int, ...]
     successors: tuple[tuple[int, ...], ...]
     types: tuple[TypeTriple, ...] | None = None
     source: int = 0
@@ -183,7 +179,7 @@ def solve_types(d: StructureDigraph) -> StructureDigraph:
         out = d.successors[i]
         if out and min(out) <= i:
             raise ValueError(f"edge ({i}, {min(out)}) does not point to a later node")
-    ids, kinds = _type_ids(descending, [s.mask for s in d.nodes], d.successors)
+    ids, kinds = _type_ids(descending, d.nodes, d.successors)
     return replace(d, types=tuple(kinds[ids[i].bit_length() - 1] for i in range(n)))
 
 
@@ -232,7 +228,9 @@ def simplify(d: StructureDigraph) -> SimplifiedDiagram:
     classes: dict[tuple, list[int]] = {}
     for i, t in enumerate(d.types):
         classes.setdefault((t, frozenset(options[i])), []).append(i)
-    least = {sig: min(d.nodes[i].order for i in ids) for sig, ids in classes.items()}
+    least = {
+        sig: min(d.nodes[i].bit_count() for i in ids) for sig, ids in classes.items()
+    }
     keys = sorted(classes, key=lambda sig: (sig[0], least[sig]))
     remap = {i: new for new, sig in enumerate(keys) for i in classes[sig]}
     nodes = tuple(

@@ -80,16 +80,31 @@ def pytest_runtest_teardown(item):
         return (yield)
 
 
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    """After a failed phase, drop the per-group results of every group
+    ``built`` has made: a fault can make them large, and they would stay for
+    the rest of the session.  Later tests compute them again."""
+    report = yield
+    if report.failed:
+        for g in _BUILT.values():
+            g.derived.clear()
+    return report
+
+
+#: Each group ``built`` has made, by spec, for the whole session.
+_BUILT = {}
+
+
 @pytest.fixture(scope="session")
 def built():
     """Build a group from its spec once per session: ``built("S6")``.  Tests
     that share a group share its per-group results."""
-    groups = {}
 
     def get(spec):
-        if spec not in groups:
-            groups[spec] = build(parse_spec(spec))
-        return groups[spec]
+        if spec not in _BUILT:
+            _BUILT[spec] = build(parse_spec(spec))
+        return _BUILT[spec]
 
     return get
 

@@ -195,9 +195,9 @@ def test_zero_iff_covering(catalog24, oracle_nims24):
         cover = even_maximals_cover(g)
         full = g.full_mask
         subs = [s for s in all_subgroups(g)
-                if s.mask != full and s.order % 2 == 0]
+                if s != full and s.bit_count() % 2 == 0]
         odd_wrapped = all(
-            any(s.mask >> x & 1 for s in subs)
+            any(s >> x & 1 for s in subs)
             for x in range(g.order)
             if g.element_orders[x] % 2 == 1
         )

@@ -185,7 +185,7 @@ def _allocated_cells(orders):
 
 def test_cell_cap_keeps_default_budget_decisions(catalog96):
     for spec, g in catalog96:
-        maximals = [m.order for m in maximal_subgroups(g)]
+        maximals = [m.bit_count() for m in maximal_subgroups(g)]
         if 1 << max(maximals) > oracle.DEFAULT_BUDGET:
             continue
         if sum(class_sizes(g)) <= oracle.DEFAULT_BUDGET:
@@ -214,7 +214,7 @@ def test_level_order_only_for_stacks(monkeypatch, spec):
     real, sizes = oracle._by_level, []
     monkeypatch.setattr(oracle, "_by_level", lambda n: sizes.append(n) or real(n))
     brute_nim(g)
-    assert sorted(sizes) == sorted({m.order for m in maximal_subgroups(g)})
+    assert sorted(sizes) == sorted({m.bit_count() for m in maximal_subgroups(g)})
 
 
 def test_position_empty_equals_game():
@@ -230,7 +230,7 @@ def test_full_odd_maximal_is_terminal():
     z15 = make_cyclic(15)
     table = brute_nim_table(z15)
     for m in maximal_subgroups(z15):
-        assert table[m.mask] == 0
+        assert table[m] == 0
 
 
 def test_position_skips_before_a_deep_search(monkeypatch):
@@ -251,7 +251,7 @@ def test_position_budget_counts_positions_below():
 
 def test_all_positions_are_subsets_of_maximals():
     g = build(parse_spec("Z6 x Z2"))
-    maximals = [m.mask for m in maximal_subgroups(g)]
+    maximals = maximal_subgroups(g)
     for p in brute_nim_table(g):
         assert any(p & ~m == 0 for m in maximals)
 
@@ -273,7 +273,7 @@ def test_class_option_compatibility():
     # every position in a structure class reaches the same other classes
     for spec in ["S3", "Z12", "A4", "Dic2", "Z6 x Z2"]:
         g = build(parse_spec(spec))
-        maximals = [m.mask for m in maximal_subgroups(g)]
+        maximals = maximal_subgroups(g)
         masks, index = incidence_poset(g).masks, maximal_incidence(g)
         reachable = {}
         for p in brute_nim_table(g):
@@ -293,7 +293,7 @@ def test_class_option_compatibility():
 def test_parity_alternation():
     g = make_symmetric(3)
     table = brute_nim_table(g)
-    maximals = [m.mask for m in maximal_subgroups(g)]
+    maximals = maximal_subgroups(g)
     for p in table:
         for x in range(g.order):
             q = p | 1 << x

@@ -1,14 +1,15 @@
-"""Source checks: the package makes no BLAS call and reads no environment
-variable, none of the three routes imports another, the lattice does not
-import numpy, only the closure and the enumeration call the coset join, only
-``Group.from_table`` validates a table, the spec module writes each family's
-prefix once, and every public definition is read inside the package or
-exported.
+"""Source checks: the package makes no BLAS call, reads no environment
+variable and no ``.mask`` off a wrapper, none of the three routes imports
+another, the lattice does not import numpy, only the closure and the
+enumeration call the coset join, only ``Group.from_table`` validates a
+table, the spec module writes each family's prefix once, and every public
+definition is read inside the package or exported.
 
 numpy hands matrix products to a threaded BLAS, whose threads add CPU time
 and memory that a single-threaded run does not show in its wall time.  A
 value read from the environment would be an option that no test or
-benchmark sets, so tuning constants stay constants.  The checklist
+benchmark sets, so tuning constants stay constants.  A subgroup is its int
+bitmask, with no wrapper to unpack.  The checklist
 classifier, the structure solver and the oracle are three independent routes
 to the nim-number, so none may lean on another's code.  The lattice answers
 containment with Python ints, so only the group tables and the oracle's
@@ -95,6 +96,23 @@ def test_check_sees_environment_reads():
 
 def test_package_reads_no_environment_variable():
     assert _package_findings(_environment_reads) == {}
+
+
+def _mask_reads(tree: ast.AST) -> list[str]:
+    return [
+        f"line {node.lineno}: .mask"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "mask"
+    ]
+
+
+def test_check_sees_mask_reads():
+    src = "s.mask\nf(g).mask >> 1\nindex.masks\nfull_mask\ng.full_mask\n"
+    assert len(_mask_reads(ast.parse(src))) == 2
+
+
+def test_package_passes_subgroups_as_plain_masks():
+    assert _package_findings(_mask_reads) == {}
 
 
 def _imports_of(tree: ast.AST, module: str) -> list[str]:

@@ -1,5 +1,6 @@
-"""The per-test time bound of ``conftest.py``: a phase that runs past it
-fails with TimeBoundExceeded, which Hypothesis does not catch."""
+"""The per-test guards of ``conftest.py``: a phase that runs past the time
+bound fails with TimeBoundExceeded, which Hypothesis does not catch, and a
+failed phase drops the per-group results of the session's groups."""
 
 import signal
 import sys
@@ -8,7 +9,10 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import TimeBoundExceeded, time_bound
+from dng.groups import make_cyclic
+from dng.lattice import maximal_subgroups
 
 needs_timer = pytest.mark.skipif(
     not hasattr(signal, "setitimer"), reason="no signal.setitimer"
@@ -81,3 +85,17 @@ def test_time_bound_gives_every_traceback_entry_a_line_number():
     assert lines[-1] == frame.f_code.co_firstlineno
     assert None not in lines
     assert "TimeBoundExceeded: stopped" in str(info.getrepr())
+
+
+@pytest.mark.parametrize("failed", [True, False])
+def test_a_failed_phase_drops_the_per_group_results(monkeypatch, failed):
+    g = make_cyclic(6)
+    maximal_subgroups(g)
+    monkeypatch.setattr(conftest, "_BUILT", {"Z6": g})
+    report = types.SimpleNamespace(failed=failed)
+    hook = conftest.pytest_runtest_makereport(None, None)
+    next(hook)
+    with pytest.raises(StopIteration) as stop:
+        hook.send(report)
+    assert stop.value.value is report
+    assert bool(g.derived) is not failed
