@@ -129,8 +129,9 @@ class Group:
 
     @functools.cached_property
     def inverses(self) -> np.ndarray:
-        """The inverse of each element, int32."""
-        return _row_inverses(self.table)
+        """The inverse of each element, int32: the column of the identity in
+        its row, which a Latin square has exactly once."""
+        return np.argmax(self.table == 0, axis=1).astype(np.int32)
 
     @functools.cached_property
     def columns(self) -> list[list[int]]:
@@ -154,12 +155,6 @@ class Group:
         int32 without validation."""
         t = np.ascontiguousarray(table, dtype=np.int32)
         return cls(order=len(t), table=t, name=name)
-
-
-def _row_inverses(t: np.ndarray) -> np.ndarray:
-    """The inverse of each element of a Latin square: the identity is in
-    exactly one column of each row."""
-    return np.argmax(t == 0, axis=1).astype(np.int32)
 
 
 def _validate_table(t: np.ndarray) -> None:
